@@ -223,13 +223,11 @@ func benchPrefetch() bool {
 	return os.Getenv("PALERMO_PREFETCH") == "1"
 }
 
-// benchPrefetchDepth / benchPosmapPrefetch / benchSlotCache read the
-// PALERMO_PREFETCH_DEPTH, PALERMO_POSMAP_PREFETCH, and PALERMO_SLOT_CACHE
-// overrides so the CI bench smoke and the BENCH records can sweep the deep
-// planner's look-ahead (batches; 0/unset = the one-batch default), the
-// posmap-group sibling announces (=1 turns them on), and the blockfile
-// slot read-cache budget (bytes per shard; 0/unset = cache off) on the
-// identical benchmarks.
+// benchPrefetchDepth / benchSlotCache read the PALERMO_PREFETCH_DEPTH and
+// PALERMO_SLOT_CACHE overrides so the CI bench smoke and the BENCH records
+// can sweep the deep planner's look-ahead (batches; 0/unset = the
+// one-batch default) and the blockfile slot read-cache budget (bytes per
+// shard; 0/unset = cache off) on the identical benchmarks.
 func benchPrefetchDepth() int {
 	if s := os.Getenv("PALERMO_PREFETCH_DEPTH"); s != "" {
 		if v, err := strconv.Atoi(s); err == nil && v > 0 {
@@ -237,10 +235,6 @@ func benchPrefetchDepth() int {
 		}
 	}
 	return 0
-}
-
-func benchPosmapPrefetch() bool {
-	return os.Getenv("PALERMO_POSMAP_PREFETCH") == "1"
 }
 
 func benchSlotCache() int {
@@ -261,11 +255,10 @@ func benchSlotCache() int {
 func BenchmarkShardedServing(b *testing.B) {
 	st, err := NewShardedStore(ShardedStoreConfig{
 		Blocks: 1 << 16, Shards: 4,
-		PipelineDepth:  benchPipelineDepth(),
-		TreeTopLevels:  benchTreeTopLevels(),
-		Prefetch:       benchPrefetch(),
-		PrefetchDepth:  benchPrefetchDepth(),
-		PosmapPrefetch: benchPosmapPrefetch(),
+		PipelineDepth: benchPipelineDepth(),
+		TreeTopLevels: benchTreeTopLevels(),
+		Prefetch:      benchPrefetch(),
+		PrefetchDepth: benchPrefetchDepth(),
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -199,16 +199,15 @@ func TestClusterDifferentialEquivalence(t *testing.T) {
 	t.Run("migration", func(t *testing.T) { run(t, cfg, 200) })
 
 	// Deep prefetch on both nodes, migration mid-sequence: the multi-line
-	// planner (look-ahead across queued batches plus posmap-group sibling
-	// announces) is serving-path-only, so the cluster must still match the
-	// plain in-process reference leaf for leaf — and the migration barrier
-	// must neither leak announced prefetch window slots nor wedge on
-	// speculative lines parked in the transfer window.
+	// planner (look-ahead across queued batches) is serving-path-only, so
+	// the cluster must still match the plain in-process reference leaf for
+	// leaf — and the migration barrier must neither leak announced
+	// prefetch window slots nor wedge on lines announced ahead of the
+	// transfer.
 	deep := cfg
 	deep.PipelineDepth = 4
 	deep.Prefetch = true
 	deep.PrefetchDepth = 4
-	deep.PosmapPrefetch = true
 	t.Run("deep-prefetch-migration", func(t *testing.T) { run(t, deep, 200) })
 }
 
@@ -439,5 +438,45 @@ func TestClientRedialRejectsEpochBump(t *testing.T) {
 	_, err = cl.Read(1)
 	if err == nil || !strings.Contains(err.Error(), "geometry changed") || !strings.Contains(err.Error(), "epoch") {
 		t.Fatalf("epoch bump not rejected on redial: %v", err)
+	}
+}
+
+// TestClusterNodeConfigValidation: a cluster node runs the store's one
+// validation path, so every config NewShardedStore refuses is refused
+// here too — in particular a Dir without an Engine, which no store
+// flavor resolves on its own.
+func TestClusterNodeConfigValidation(t *testing.T) {
+	man, err := cluster.EvenSplit(1<<10, 2, []string{"a:1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rejected := []struct {
+		field string
+		cfg   ShardedStoreConfig
+	}{
+		{"Dir without Engine", ShardedStoreConfig{Dir: t.TempDir()}},
+		{"Engine unknown", ShardedStoreConfig{Engine: "etcd"}},
+		{"Engine wal without Dir", ShardedStoreConfig{Engine: BackendWAL}},
+		{"SlotCacheBytes on memory", ShardedStoreConfig{SlotCacheBytes: 4096}},
+		{"PipelineDepth beyond cap", ShardedStoreConfig{PipelineDepth: MaxPipelineDepth + 1}},
+		{"Key bad length", ShardedStoreConfig{Key: []byte("short")}},
+		{"Shards disagree with manifest", ShardedStoreConfig{Shards: 4}},
+	}
+	for _, tc := range rejected {
+		node, err := NewClusterNode(ClusterNodeConfig{Addr: "a:1", Store: tc.cfg}, man)
+		if err == nil {
+			node.Close()
+			t.Fatalf("%s: config %+v must be rejected", tc.field, tc.cfg)
+		}
+		if !strings.HasPrefix(err.Error(), "palermo:") {
+			t.Fatalf("%s: error %q lacks palermo: prefix", tc.field, err)
+		}
+	}
+	node, err := NewClusterNode(ClusterNodeConfig{Addr: "a:1", Store: ShardedStoreConfig{Engine: BackendWAL, Dir: t.TempDir()}}, man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := node.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -26,14 +26,11 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
 
 	"palermo/internal/backend"
-	"palermo/internal/backend/blockfile"
-	"palermo/internal/backend/wal"
 	"palermo/internal/cluster"
 	"palermo/internal/netserve"
 	"palermo/internal/serve"
@@ -131,59 +128,11 @@ func NewClusterNode(cfg ClusterNodeConfig, man *cluster.Manifest) (*ClusterNode,
 		return nil, fmt.Errorf("palermo: configured %d shards, manifest has %d", sc.Shards, man.Shards)
 	}
 	sc.Blocks, sc.Shards = man.Blocks, int(man.Shards)
-	if err := validatePipelineDepth(sc.PipelineDepth); err != nil {
-		return nil, err
-	}
-	if err := validateTreeTopLevels(sc.TreeTopLevels); err != nil {
-		return nil, err
-	}
-	if err := validateCryptoWorkers(sc.CryptoWorkers); err != nil {
-		return nil, err
-	}
-	if err := validatePrefetchDepth(sc.PrefetchDepth); err != nil {
-		return nil, err
-	}
-	engine, err := resolveEngine(sc.Engine, sc.Backend)
+	// The directory manifest pins the GLOBAL geometry — every node of the
+	// cluster agrees on (Blocks, Shards, engine) even though each holds
+	// only its own shard subdirectories.
+	router, err := sc.validate()
 	if err != nil {
-		return nil, err
-	}
-	sc.Backend = engine
-	sc.Engine = ""
-	sc.defaults()
-	if err := validateStoreParams(sc.Blocks, sc.Key); err != nil {
-		return nil, err
-	}
-	if sc.Shards < 1 || sc.Shards > MaxShards {
-		return nil, fmt.Errorf("palermo: Shards must be in [1, %d], got %d", MaxShards, sc.Shards)
-	}
-	if sc.QueueDepth < 0 || sc.MaxBatch < 0 {
-		return nil, fmt.Errorf("palermo: QueueDepth/MaxBatch must be >= 0")
-	}
-	router, err := shard.NewRouter(sc.Blocks, sc.Shards)
-	if err != nil {
-		return nil, fmt.Errorf("palermo: %w", err)
-	}
-	if sc.Backend == "" {
-		if sc.Dir != "" {
-			sc.Backend = BackendWAL
-		} else {
-			sc.Backend = BackendMemory
-		}
-	}
-	if sc.Backend == BackendWAL || sc.Backend == BackendBlockfile {
-		if sc.Dir == "" {
-			return nil, fmt.Errorf("palermo: the %q engine requires Dir", sc.Backend)
-		}
-		// The directory manifest pins the GLOBAL geometry — every node of
-		// the cluster agrees on (Blocks, Shards, engine) even though each
-		// holds only its own shard subdirectories.
-		if err := wal.EnsureManifest(sc.Dir, wal.Manifest{Version: wal.ManifestVersion, Blocks: sc.Blocks, Shards: sc.Shards, Engine: sc.Backend}); err != nil {
-			return nil, fmt.Errorf("palermo: %w", err)
-		}
-	} else if sc.Backend != BackendMemory {
-		return nil, fmt.Errorf("palermo: unknown Engine %q (want %q, %q, or %q)", sc.Backend, BackendMemory, BackendWAL, BackendBlockfile)
-	}
-	if err := validateSlotCacheBytes(sc.SlotCacheBytes, sc.Backend); err != nil {
 		return nil, err
 	}
 	n := &ClusterNode{
@@ -195,10 +144,10 @@ func NewClusterNode(cfg ClusterNodeConfig, man *cluster.Manifest) (*ClusterNode,
 		migrating: make(map[int]bool),
 	}
 	for _, s := range man.Owned(cfg.Addr) {
-		slot, err := n.openSlot(s)
+		slot, err := n.openSlot(s, nil)
 		if err != nil {
 			n.Close()
-			return nil, err
+			return nil, fmt.Errorf("palermo: %w", err)
 		}
 		n.slots[s] = slot
 	}
@@ -211,68 +160,22 @@ func NewClusterNode(cfg ClusterNodeConfig, man *cluster.Manifest) (*ClusterNode,
 	return n, nil
 }
 
-// openShardBackend opens one shard sub-directory under the node's
-// configured engine (nil for the in-memory engine).
-func (n *ClusterNode) openShardBackend(dir string) (backend.Backend, error) {
-	switch n.cfg.Backend {
-	case BackendWAL:
-		return wal.Open(dir, wal.Options{GroupCommit: n.cfg.GroupCommit, CommitDepth: n.cfg.PipelineDepth})
-	case BackendBlockfile:
-		return blockfile.Open(dir, blockfile.Options{GroupCommit: n.cfg.GroupCommit, CacheBytes: n.cfg.SlotCacheBytes})
-	default:
-		return nil, nil
-	}
-}
-
-// openSlot builds one owned shard and its single-worker service, using
-// the same assembly as NewShardedStore so a cluster of nodes is
-// protocol-identical to one in-process ShardedStore.
-func (n *ClusterNode) openSlot(s int) (*clusterSlot, error) {
-	be, err := n.openShardBackend(n.shardDir(s))
+// openSlot builds one owned shard (restore, when non-nil, runs before
+// the pipeline starts — the migration import) and its single-worker
+// service. The shard is assembled exactly as NewShardedStore assembles
+// it, so a cluster of nodes is protocol-identical to one in-process
+// ShardedStore; the serve.Service has one worker (index 0) because shard
+// confinement is per-slot here.
+func (n *ClusterNode) openSlot(s int, restore func(*shard.Shard) error) (*clusterSlot, error) {
+	sh, be, err := n.cfg.openShard(n.router, s, shard.DeriveSeed(n.cfg.Seed, s), restore)
 	if err != nil {
-		return nil, fmt.Errorf("palermo: shard %d: %w", s, err)
+		return nil, err
 	}
-	sh, err := shard.New(s, n.cfg.Shards, n.router.ShardBlocks(s), n.cfg.Key, shard.DeriveSeed(n.cfg.Seed, s), be)
-	if err != nil {
-		if be != nil {
-			be.Close()
-		}
-		return nil, fmt.Errorf("palermo: %w", err)
-	}
-	slot := n.startSlot(sh)
-	slot.be = be
-	return slot, nil
-}
-
-// startSlot applies the store tuning to a built shard and starts its
-// worker. The serve.Service has exactly one worker (index 0): shard
-// confinement is per-slot here, where ShardedStore has one service whose
-// worker i owns shard i.
-func (n *ClusterNode) startSlot(sh *shard.Shard) *clusterSlot {
-	applyCheckpointEvery(sh, n.cfg.CheckpointEvery)
-	sh.SetTreeTopLevels(n.cfg.TreeTopLevels)
 	if n.traceOn {
 		sh.EnableTrace()
 	}
-	sh.EnablePipeline(n.cfg.PipelineDepth)
-	sh.EnableCryptoPool(n.cfg.CryptoWorkers)
-	if n.cfg.Prefetch {
-		sh.EnablePrefetch(prefetchWindow(n.cfg.MaxBatch, n.cfg.PrefetchDepth, n.cfg.PosmapPrefetch))
-	}
-	svc := serve.New([]serve.Backend{stagedShard{sh}}, serve.Config{
-		QueueDepth:        n.cfg.QueueDepth,
-		MaxBatch:          n.cfg.MaxBatch,
-		PipelineDepth:     n.cfg.PipelineDepth,
-		Prefetch:          n.cfg.Prefetch,
-		PrefetchDepth:     n.cfg.PrefetchDepth,
-		PosmapPrefetch:    n.cfg.PosmapPrefetch,
-		AdmissionDeadline: n.cfg.AdmissionDeadline,
-	})
-	return &clusterSlot{sh: sh, svc: svc}
-}
-
-func (n *ClusterNode) shardDir(s int) string {
-	return filepath.Join(n.cfg.Dir, fmt.Sprintf("shard-%04d", s))
+	svc := serve.New([]serve.Backend{stagedShard{sh}}, n.cfg.serveConfig())
+	return &clusterSlot{sh: sh, svc: svc, be: be}, nil
 }
 
 // persistLocked writes the node's durable cluster state. Callers hold mu
@@ -578,27 +481,9 @@ func (n *ClusterNode) Traffic() TrafficReport {
 			slot.svc.WaitClosed()
 			c = sh.Snapshot()
 		}
-		rep.Reads += c.Reads
-		rep.Writes += c.Writes
-		rep.DRAMReads += c.DRAMReads
-		rep.DRAMWrites += c.DRAMWrites
-		rep.TreeTopHits += c.TreeTopHits
-		rep.PrefetchIssued += c.PrefetchIssued
-		rep.PrefetchUsed += c.PrefetchUsed
-		rep.PrefetchStale += c.PrefetchStale
-		if c.StashPeak > rep.StashPeak {
-			rep.StashPeak = c.StashPeak
-		}
+		rep.add(c, slot.be)
 	}
-	if ops := rep.Reads + rep.Writes; ops > 0 {
-		rep.AmplificationFactor = float64(rep.DRAMReads+rep.DRAMWrites) / float64(ops)
-	}
-	for _, slot := range slots {
-		h, m := slotCacheStats(slot.be)
-		rep.SlotCacheHits += h
-		rep.SlotCacheMisses += m
-	}
-	return rep
+	return rep.amplified()
 }
 
 // EnableTraces starts recording every owned shard's leaf trace (including
@@ -873,51 +758,33 @@ func (n *ClusterNode) sinkCommit(s uint32, newEpoch uint64) error {
 	if newEpoch != sink.begin.Epoch+1 {
 		return fmt.Errorf("palermo: migrate: commit epoch %d, want %d", newEpoch, sink.begin.Epoch+1)
 	}
-	var be backend.Backend
-	if n.cfg.Backend != BackendMemory {
+	if n.cfg.Dir != "" {
 		// A previous ownership of this shard (before an earlier migration
 		// away) left a subdirectory whose recovered state diverges from
 		// the incoming one: wipe it, this import IS the shard's state.
-		dir := n.shardDir(int(s))
-		if err := os.RemoveAll(dir); err != nil {
+		if err := os.RemoveAll(shardDir(n.cfg.Dir, int(s))); err != nil {
 			return fmt.Errorf("palermo: migrate: %w", err)
 		}
-		w, err := n.openShardBackend(dir)
-		if err != nil {
-			return fmt.Errorf("palermo: migrate: %w", err)
-		}
-		be = w
 	}
-	sh, err := shard.New(int(s), n.cfg.Shards, n.router.ShardBlocks(int(s)), n.cfg.Key, shard.DeriveSeed(n.cfg.Seed, int(s)), be)
+	slot, err := n.openSlot(int(s), func(sh *shard.Shard) error {
+		blocks := make([]shard.SealedBlock, 0, len(sink.blocks))
+		for _, b := range sink.blocks {
+			blocks = append(blocks, b)
+		}
+		if err := sh.ImportBlocks(blocks); err != nil {
+			return err
+		}
+		if err := sh.RestoreMeta(sink.meta, sink.metaEpoch); err != nil {
+			return err
+		}
+		// Persist the migrated state as the shard's first durable
+		// checkpoint: a crash after commit must recover the imported
+		// shard, not the empty creation state.
+		return sh.ForceCheckpoint()
+	})
 	if err != nil {
-		if be != nil {
-			be.Close()
-		}
 		return fmt.Errorf("palermo: migrate: %w", err)
 	}
-	fail := func(err error) error {
-		sh.Retire() // never farewell-checkpoint a half-imported shard
-		sh.Close()
-		return fmt.Errorf("palermo: migrate: %w", err)
-	}
-	blocks := make([]shard.SealedBlock, 0, len(sink.blocks))
-	for _, b := range sink.blocks {
-		blocks = append(blocks, b)
-	}
-	if err := sh.ImportBlocks(blocks); err != nil {
-		return fail(err)
-	}
-	if err := sh.RestoreMeta(sink.meta, sink.metaEpoch); err != nil {
-		return fail(err)
-	}
-	// Persist the migrated state as the shard's first durable checkpoint:
-	// a crash after commit must recover the imported shard, not the empty
-	// creation state.
-	if err := sh.ForceCheckpoint(); err != nil {
-		return fail(err)
-	}
-	slot := n.startSlot(sh)
-	slot.be = be
 	n.mu.Lock()
 	if n.man.Epoch != sink.begin.Epoch {
 		cur := n.man.Epoch

@@ -67,131 +67,123 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
-	"time"
-
 	"strings"
+	"time"
 
 	"palermo"
 	"palermo/internal/cluster"
 	"palermo/internal/loadgen"
 	"palermo/internal/rng"
+	"palermo/internal/storeflag"
 )
 
 // stampBlocks is how many ids the durable stamp pass writes.
 const stampBlocks = 1024
 
-func main() {
-	clients := flag.Int("clients", 8, "closed-loop client goroutines")
-	shards := flag.Int("shards", 4, "independent ORAM shards")
-	blocks := flag.Uint64("blocks", 1<<18, "store capacity in 64-byte blocks (0 = store default)")
-	ops := flag.Int("ops", 20000, "total operations across all clients (mutually exclusive with -duration)")
-	duration := flag.Duration("duration", 0, "time-bounded run length, e.g. 30s (mutually exclusive with -ops)")
-	readRatio := flag.Float64("read-ratio", 0.9, "fraction of operations that are reads")
-	zipf := flag.Float64("zipf", 0, "Zipf skew theta (0 = uniform; 0.99 ~ YCSB)")
-	batch := flag.Int("batch", 1, "reads per ReadBatch call (1 = single-op loop)")
-	rate := flag.Float64("rate", 0, "open-loop offered load in total ops/sec (0 = closed loop; requires -batch 1)")
-	admission := flag.Duration("admission", 0, "overload-shedding admission deadline for the in-process store (0 = never shed)")
-	queue := flag.Int("queue", 0, "per-shard queue depth (0 = default)")
-	pipeline := flag.Int("pipeline", 0, "per-shard pipeline depth (0 = default, 1 = serial workers)")
-	treetop := flag.Int("treetop", 0, "resident tree-top cache levels per engine space (0 = byte-budget default)")
-	prefetch := flag.Bool("prefetch", false, "enable the batch-admission prefetch planner (needs pipeline depth > 1)")
-	prefetchDepth := flag.Int("prefetch-depth", 0, "planner look-ahead in predicted batches (0/1 = one-batch planner; needs -prefetch)")
-	posmapPrefetch := flag.Bool("posmap-prefetch", false, "also announce each planned read's posmap-group sibling lines (needs -prefetch)")
-	seed := flag.Uint64("seed", 1, "base seed (store shards and client streams derive from it)")
-	jsonDir := flag.String("json", "", "directory to write the BENCH_load.json perf record into")
-	figure := flag.String("figure", "", "override the perf-record figure name (default: load, or net with -addr)")
-	traceFile := flag.String("trace", "", "record per-shard serving leaf traces to this JSON file (in-process mode)")
-	dir := flag.String("dir", "", "durable store directory (selects a durable engine; see -engine)")
-	engine := flag.String("engine", "", `storage engine with -dir: "wal" (default) or "blockfile"; reopen auto-detects from the manifest`)
-	groupCommit := flag.Int("group-commit", 0, "durable-log appends per fsync batch (0 = default)")
-	cryptoWorkers := flag.Int("crypto-workers", 0, "parallel seal/unseal workers per shard (0 = inline; needs pipeline depth > 1)")
-	slotCache := flag.Int("slot-cache", 0, "blockfile slot read-cache budget in bytes per shard (0 = off; needs -engine blockfile)")
-	verify := flag.Bool("verify", false, "reopen the -dir store and verify the stamped blocks instead of generating load")
-	addr := flag.String("addr", "", "drive a remote palermo-server at HOST:PORT instead of an in-process store")
-	conns := flag.Int("conns", 1, "client connection-pool size (-addr mode)")
-	stamp := flag.Bool("stamp", false, "write the deterministic verification stamp after the run (implied by -dir; with -addr it lands in the server's durable dir)")
-	flag.Parse()
+// options is the parsed command line: the store knobs (shared with
+// palermo-server through internal/storeflag) plus the load generator's own
+// flags.
+type options struct {
+	store                      palermo.ShardedStoreConfig
+	clients, ops, batch, conns int
+	duration                   time.Duration
+	readRatio, zipf, rate      float64
+	jsonDir, figure, traceFile string
+	addr                       string
+	verify, stamp              bool
+	node                       *cluster.NodeState // -verify of a cluster node's directory
+}
 
+// parseFlags parses args and checks the flag combinations: -ops and
+// -duration exclude each other, and with -addr every flag that configures
+// an in-process store is refused, since the store belongs to the server.
+func parseFlags(args []string) (*options, error) {
+	o := &options{}
+	fs := flag.NewFlagSet("palermo-load", flag.ContinueOnError)
+	storeflag.Register(fs, &o.store)
+	fs.IntVar(&o.clients, "clients", 8, "closed-loop client goroutines")
+	fs.IntVar(&o.ops, "ops", 20000, "total operations across all clients (mutually exclusive with -duration)")
+	fs.DurationVar(&o.duration, "duration", 0, "time-bounded run length, e.g. 30s (mutually exclusive with -ops)")
+	fs.Float64Var(&o.readRatio, "read-ratio", 0.9, "fraction of operations that are reads")
+	fs.Float64Var(&o.zipf, "zipf", 0, "Zipf skew theta (0 = uniform; 0.99 ~ YCSB)")
+	fs.IntVar(&o.batch, "batch", 1, "reads per ReadBatch call (1 = single-op loop)")
+	fs.Float64Var(&o.rate, "rate", 0, "open-loop offered load in total ops/sec (0 = closed loop; requires -batch 1)")
+	fs.StringVar(&o.jsonDir, "json", "", "directory to write the BENCH_load.json perf record into")
+	fs.StringVar(&o.figure, "figure", "", "override the perf-record figure name (default: load, or net with -addr)")
+	fs.StringVar(&o.traceFile, "trace", "", "record per-shard serving leaf traces to this JSON file (in-process mode)")
+	fs.BoolVar(&o.verify, "verify", false, "reopen the -dir store and verify the stamped blocks instead of generating load")
+	fs.StringVar(&o.addr, "addr", "", "drive a remote palermo-server at HOST:PORT instead of an in-process store")
+	fs.IntVar(&o.conns, "conns", 1, "client connection-pool size (-addr mode)")
+	fs.BoolVar(&o.stamp, "stamp", false, "write the deterministic verification stamp after the run (implied by -dir; with -addr it lands in the server's durable dir)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	var err error
 	opsSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "ops" {
-			opsSet = true
-		}
-		if *addr != "" {
-			switch f.Name {
-			case "shards", "blocks", "queue", "dir", "engine", "group-commit", "crypto-workers", "verify", "treetop", "prefetch", "prefetch-depth", "posmap-prefetch", "slot-cache", "trace", "admission":
-				fatal(fmt.Errorf("-%s configures an in-process store; with -addr it belongs to the server", f.Name))
-			}
+	fs.Visit(func(f *flag.Flag) {
+		opsSet = opsSet || f.Name == "ops"
+		if err == nil && o.addr != "" && (storeflag.InProcess(f.Name) || f.Name == "verify" || f.Name == "trace") {
+			err = fmt.Errorf("-%s configures an in-process store; with -addr it belongs to the server", f.Name)
 		}
 	})
-	if *duration > 0 && opsSet {
-		fatal(fmt.Errorf("-ops and -duration are mutually exclusive; pick one stopping rule"))
+	if err != nil {
+		return nil, err
 	}
-	if *duration > 0 {
-		*ops = 0
+	if o.duration > 0 && opsSet {
+		return nil, fmt.Errorf("-ops and -duration are mutually exclusive; pick one stopping rule")
 	}
-	if *addr != "" {
-		addrs := splitAddrs(*addr)
+	if o.duration > 0 {
+		o.ops = 0
+	}
+	if o.verify {
+		if o.store.Dir == "" {
+			return nil, fmt.Errorf("-verify requires -dir")
+		}
+		// A directory a cluster node wrote carries its persisted node
+		// state; it is verified as that node, whose geometry is its
+		// manifest's.
+		if o.node, err = cluster.LoadNodeState(o.store.Dir); err != nil {
+			return nil, err
+		}
+	}
+	storeflag.Resolve(fs, &o.store, o.node != nil)
+	return o, nil
+}
+
+func main() {
+	o, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		fatal(err)
+	}
+	seed := o.store.Seed
+	if o.addr != "" {
+		addrs := splitAddrs(o.addr)
 		fig := "net"
 		if len(addrs) > 1 {
 			fig = "cluster"
 		}
-		if *figure != "" {
-			fig = *figure
+		if o.figure != "" {
+			fig = o.figure
 		}
-		runRemote(addrs, *conns, *clients, *ops, *duration, *readRatio, *zipf, *batch, *rate, *seed, *stamp, *jsonDir, fig)
+		runRemote(addrs, o.conns, o.clients, o.ops, o.duration, o.readRatio, o.zipf, o.batch, o.rate, seed, o.stamp, o.jsonDir, fig)
 		return
 	}
 
-	cfg := palermo.ShardedStoreConfig{
-		Blocks:            *blocks,
-		Shards:            *shards,
-		Seed:              *seed,
-		QueueDepth:        *queue,
-		PipelineDepth:     *pipeline,
-		TreeTopLevels:     *treetop,
-		Prefetch:          *prefetch,
-		PrefetchDepth:     *prefetchDepth,
-		PosmapPrefetch:    *posmapPrefetch,
-		CryptoWorkers:     *cryptoWorkers,
-		AdmissionDeadline: *admission,
-	}
-	if *dir != "" {
-		// An explicit -engine wins; otherwise an existing directory's
-		// manifest decides (so -verify never needs the flag restated) and
-		// a fresh directory defaults to the WAL engine.
-		cfg.Engine = *engine
-		if cfg.Engine == "" {
-			cfg.Engine = palermo.DetectEngine(*dir)
-		}
-		cfg.Dir = *dir
-		cfg.GroupCommit = *groupCommit
-		cfg.SlotCacheBytes = *slotCache
-	} else if *engine != "" && *engine != palermo.BackendMemory {
-		fatal(fmt.Errorf("-engine %s requires -dir", *engine))
-	} else if *slotCache != 0 {
-		fatal(fmt.Errorf("-slot-cache requires -dir with -engine blockfile"))
-	}
-
-	if *verify {
-		if *dir == "" {
-			fatal(fmt.Errorf("-verify requires -dir"))
-		}
-		// A directory a cluster node wrote carries its persisted node
-		// state; verify it as that node (only its owned shards exist).
-		ns, err := cluster.LoadNodeState(*dir)
-		if err != nil {
-			fatal(err)
-		}
-		if ns != nil {
-			err = verifyClusterNode(ns, cfg, *seed)
+	cfg := o.store
+	if o.verify {
+		if o.node != nil {
+			err = verifyClusterNode(o.node, cfg, seed)
 		} else {
-			err = verifyStore(cfg, *seed)
+			err = verifyStore(cfg, seed)
 		}
 		if err != nil {
 			fatal(err)
@@ -203,37 +195,37 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *traceFile != "" {
+	if o.traceFile != "" {
 		st.EnableTraces()
 	}
 
-	bound := fmt.Sprintf("%d ops", *ops)
-	if *duration > 0 {
-		bound = (*duration).String()
+	bound := fmt.Sprintf("%d ops", o.ops)
+	if o.duration > 0 {
+		bound = o.duration.String()
 	}
 	fmt.Printf("palermo-load: %d shards, %d clients, %s (%.0f%% reads, zipf %.2f, batch %d) over %d blocks\n",
-		st.Shards(), *clients, bound, *readRatio*100, *zipf, *batch, st.Blocks())
+		st.Shards(), o.clients, bound, o.readRatio*100, o.zipf, o.batch, st.Blocks())
 
 	res, err := loadgen.Run(st, loadgen.Options{
-		Clients:   *clients,
-		Ops:       *ops,
-		Duration:  *duration,
-		ReadRatio: *readRatio,
-		ZipfTheta: *zipf,
-		Batch:     *batch,
-		Rate:      *rate,
-		Seed:      *seed,
+		Clients:   o.clients,
+		Ops:       o.ops,
+		Duration:  o.duration,
+		ReadRatio: o.readRatio,
+		ZipfTheta: o.zipf,
+		Batch:     o.batch,
+		Rate:      o.rate,
+		Seed:      seed,
 	})
 	if err != nil {
 		fatal(err)
 	}
-	if *dir != "" || *stamp {
-		if err := stampTarget(st, *seed); err != nil {
+	if cfg.Dir != "" || o.stamp {
+		if err := stampTarget(st, seed); err != nil {
 			fatal(err)
 		}
 	}
-	if *traceFile != "" {
-		if err := writeTraces(*traceFile, st); err != nil {
+	if o.traceFile != "" {
+		if err := writeTraces(o.traceFile, st); err != nil {
 			fatal(err)
 		}
 	}
@@ -242,13 +234,13 @@ func main() {
 	}
 
 	printResult(res)
-	if *jsonDir != "" {
+	if o.jsonDir != "" {
 		fig := "load"
-		if *figure != "" {
-			fig = *figure
+		if o.figure != "" {
+			fig = o.figure
 		}
-		if err := writeRecord(*jsonDir, fig, *ops, *seed, st.Shards(), res,
-			loadMetrics(res, *clients, *readRatio, *zipf)); err != nil {
+		if err := writeRecord(o.jsonDir, fig, o.ops, seed, st.Shards(), res,
+			loadMetrics(res, o.clients, o.readRatio, o.zipf)); err != nil {
 			fatal(err)
 		}
 	}
@@ -514,9 +506,6 @@ func verifyStore(cfg palermo.ShardedStoreConfig, seed uint64) (err error) {
 // slice, and running -verify per node covers the whole stamp.
 func verifyClusterNode(ns *cluster.NodeState, cfg palermo.ShardedStoreConfig, seed uint64) (err error) {
 	t0 := time.Now()
-	// Geometry is the manifest's, not the flags' (the flag defaults are
-	// for standalone stores and need not match this cluster).
-	cfg.Blocks, cfg.Shards = 0, 0
 	node, err := palermo.NewClusterNode(palermo.ClusterNodeConfig{Addr: ns.Addr, Store: cfg}, ns.Manifest)
 	if err != nil {
 		return err

@@ -538,12 +538,12 @@ func TestCachePrefetchEquivalence(t *testing.T) {
 	const shards = 3
 	ops := recordNetOps(blocks, 400)
 
-	play := func(treetop int, prefetch bool, depth int, posmap bool) (payloads [][]byte, stats ServiceStats, traces []*shard.Trace, rep TrafficReport) {
+	play := func(treetop int, prefetch bool, depth int) (payloads [][]byte, stats ServiceStats, traces []*shard.Trace, rep TrafficReport) {
 		t.Helper()
 		st, err := NewShardedStore(ShardedStoreConfig{
 			Blocks: blocks, Shards: shards, Seed: 77,
 			PipelineDepth: 4, TreeTopLevels: treetop,
-			Prefetch: prefetch, PrefetchDepth: depth, PosmapPrefetch: posmap,
+			Prefetch: prefetch, PrefetchDepth: depth,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -563,27 +563,25 @@ func TestCachePrefetchEquivalence(t *testing.T) {
 		return payloads, stats, traces, rep
 	}
 
-	wantPayloads, wantStats, wantTraces, wantRep := play(0, false, 0, false)
+	wantPayloads, wantStats, wantTraces, wantRep := play(0, false, 0)
 	baselineMoved := wantRep.DRAMReads + wantRep.DRAMWrites + wantRep.TreeTopHits
 	for _, tc := range []struct {
 		treetop  int
 		prefetch bool
 		depth    int
-		posmap   bool
 	}{
-		{4, false, 0, false},
-		{0, true, 0, false},
-		{6, true, 0, false},
-		// Deep planner rows: look-ahead across queued batches, with and
-		// without posmap-group sibling announces. The planner may only
-		// move backend Gets earlier — never a leaf, payload, or count.
-		{0, true, 4, false},
-		{6, true, 4, true},
-		{0, true, 64, true}, // max depth: backlog deeper than the queue ever gets
+		{4, false, 0},
+		{0, true, 0},
+		{6, true, 0},
+		// Deep planner rows: look-ahead across queued batches. The planner
+		// may only move backend Gets earlier — never a leaf, payload, or
+		// count.
+		{0, true, 4},
+		{6, true, 4},
+		{0, true, 64}, // max depth: backlog deeper than the queue ever gets
 	} {
-		gotPayloads, gotStats, gotTraces, gotRep := play(tc.treetop, tc.prefetch, tc.depth, tc.posmap)
-		name := fmt.Sprintf("treetop=%d,prefetch=%v,depth=%d,posmap=%v",
-			tc.treetop, tc.prefetch, tc.depth, tc.posmap)
+		gotPayloads, gotStats, gotTraces, gotRep := play(tc.treetop, tc.prefetch, tc.depth)
+		name := fmt.Sprintf("treetop=%d,prefetch=%v,depth=%d", tc.treetop, tc.prefetch, tc.depth)
 		for i := range wantPayloads {
 			if !bytes.Equal(gotPayloads[i], wantPayloads[i]) {
 				t.Fatalf("%s: read payload %d diverged from baseline", name, i)
@@ -636,7 +634,7 @@ func TestDurableMixedConfigReopen(t *testing.T) {
 	dir := t.TempDir()
 	st, err := NewShardedStore(ShardedStoreConfig{
 		Blocks: blocks, Shards: 2, Seed: 13,
-		Backend: BackendWAL, Dir: dir, CheckpointEvery: 32, GroupCommit: 4,
+		Engine: BackendWAL, Dir: dir, CheckpointEvery: 32, GroupCommit: 4,
 		PipelineDepth: 4, TreeTopLevels: 4, Prefetch: true,
 	})
 	if err != nil {
@@ -656,13 +654,13 @@ func TestDurableMixedConfigReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reopen := func(treetop int, prefetch bool, depth, prefetchDepth int, posmap bool) [][]byte {
+	reopen := func(treetop int, prefetch bool, depth, prefetchDepth int) [][]byte {
 		t.Helper()
 		st, err := NewShardedStore(ShardedStoreConfig{
 			Blocks: blocks, Shards: 2, Seed: 13,
-			Backend: BackendWAL, Dir: dir,
+			Engine: BackendWAL, Dir: dir,
 			PipelineDepth: depth, TreeTopLevels: treetop,
-			Prefetch: prefetch, PrefetchDepth: prefetchDepth, PosmapPrefetch: posmap,
+			Prefetch: prefetch, PrefetchDepth: prefetchDepth,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -692,22 +690,21 @@ func TestDurableMixedConfigReopen(t *testing.T) {
 		return payloads
 	}
 
-	want := reopen(0, false, 1, 0, false) // serial baseline reopens the optimized dir
+	want := reopen(0, false, 1, 0) // serial baseline reopens the optimized dir
 	for _, tc := range []struct {
 		treetop       int
 		prefetch      bool
 		depth         int
 		prefetchDepth int
-		posmap        bool
 	}{
-		{4, true, 4, 0, false},
-		{6, false, 2, 0, false},
-		// Deep planner reopens: look-ahead and posmap-group announces are
-		// serving-path-only and must leave recovery untouched.
-		{4, true, 4, 4, true},
-		{0, true, 2, 8, false},
+		{4, true, 4, 0},
+		{6, false, 2, 0},
+		// Deep planner reopens: look-ahead is serving-path-only and must
+		// leave recovery untouched.
+		{4, true, 4, 4},
+		{0, true, 2, 8},
 	} {
-		got := reopen(tc.treetop, tc.prefetch, tc.depth, tc.prefetchDepth, tc.posmap)
+		got := reopen(tc.treetop, tc.prefetch, tc.depth, tc.prefetchDepth)
 		for i := range want {
 			if !bytes.Equal(got[i], want[i]) {
 				t.Fatalf("treetop=%d prefetch=%v prefetchDepth=%d: post-recovery read %d diverged",
@@ -724,7 +721,7 @@ func TestDurableMixedConfigReopen(t *testing.T) {
 		t.Helper()
 		st, err := NewShardedStore(ShardedStoreConfig{
 			Blocks: blocks, Shards: 2, Seed: 13,
-			Backend: BackendBlockfile, Dir: bfDir, CheckpointEvery: 32, GroupCommit: 4,
+			Engine: BackendBlockfile, Dir: bfDir, CheckpointEvery: 32, GroupCommit: 4,
 			PipelineDepth: 4, SlotCacheBytes: slotCache,
 		})
 		if err != nil {

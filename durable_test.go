@@ -22,7 +22,7 @@ func fillBlock(v uint64) []byte {
 // reopen restores the store bit-exactly — payloads and traffic counters.
 func TestStoreWALCloseReopen(t *testing.T) {
 	dir := t.TempDir()
-	cfg := StoreConfig{Blocks: 1 << 10, Backend: BackendWAL, Dir: dir, Seed: 7}
+	cfg := StoreConfig{Blocks: 1 << 10, Engine: BackendWAL, Dir: dir, Seed: 7}
 
 	st, err := NewStore(cfg)
 	if err != nil {
@@ -79,7 +79,7 @@ func TestShardedStoreWALRecovery(t *testing.T) {
 	dir := t.TempDir()
 	cfg := ShardedStoreConfig{
 		Blocks: 1 << 11, Shards: 4, Seed: 3,
-		Backend: BackendWAL, Dir: dir,
+		Engine: BackendWAL, Dir: dir,
 		CheckpointEvery: 64, // force periodic compactions mid-workload too
 	}
 	st, err := NewShardedStore(cfg)
@@ -204,13 +204,13 @@ func TestStoreWALCrashRecovery(t *testing.T) {
 	// creation checkpoint, so a wrong key is rejected at open instead of
 	// decrypting sealed payloads into garbage.
 	if _, err := NewStore(StoreConfig{
-		Blocks: 1 << 10, Backend: BackendWAL, Dir: dir,
+		Blocks: 1 << 10, Engine: BackendWAL, Dir: dir,
 		GroupCommit: 1, Key: []byte("wrong-key-16byte"),
 	}); err == nil {
 		t.Fatal("crashed dir reopened under a different key must fail")
 	}
 
-	re, err := NewStore(StoreConfig{Blocks: 1 << 10, Backend: BackendWAL, Dir: dir, GroupCommit: 1})
+	re, err := NewStore(StoreConfig{Blocks: 1 << 10, Engine: BackendWAL, Dir: dir, GroupCommit: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestStoreWALCrashAfterCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	rerunAsCrashChild(t, "TestStoreWALCrashAfterCheckpoint", dir, BackendWAL)
 
-	re, err := NewStore(StoreConfig{Blocks: 1 << 10, Backend: BackendWAL, Dir: dir, CheckpointEvery: 20, GroupCommit: 1})
+	re, err := NewStore(StoreConfig{Blocks: 1 << 10, Engine: BackendWAL, Dir: dir, CheckpointEvery: 20, GroupCommit: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestStoreWALCrashAfterCheckpoint(t *testing.T) {
 // store instance; after Close it can.
 func TestWALDirLocked(t *testing.T) {
 	dir := t.TempDir()
-	cfg := StoreConfig{Blocks: 1 << 10, Backend: BackendWAL, Dir: dir}
+	cfg := StoreConfig{Blocks: 1 << 10, Engine: BackendWAL, Dir: dir}
 	st, err := NewStore(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -328,7 +328,7 @@ func TestErrClosedSentinel(t *testing.T) {
 // corrupt reads later.
 func TestWALWrongKeyRejected(t *testing.T) {
 	dir := t.TempDir()
-	cfg := StoreConfig{Blocks: 1 << 10, Backend: BackendWAL, Dir: dir}
+	cfg := StoreConfig{Blocks: 1 << 10, Engine: BackendWAL, Dir: dir}
 	st, err := NewStore(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -348,10 +348,10 @@ func TestWALWrongKeyRejected(t *testing.T) {
 
 // TestWALConfigValidation covers the backend plumbing's eager rejections.
 func TestWALConfigValidation(t *testing.T) {
-	if _, err := NewStore(StoreConfig{Backend: "tape"}); err == nil {
+	if _, err := NewStore(StoreConfig{Engine: "tape"}); err == nil {
 		t.Fatal("unknown backend accepted")
 	}
-	if _, err := NewStore(StoreConfig{Backend: BackendWAL}); err == nil {
+	if _, err := NewStore(StoreConfig{Engine: BackendWAL}); err == nil {
 		t.Fatal("wal without Dir accepted")
 	}
 	if _, err := NewStore(StoreConfig{Dir: t.TempDir()}); err == nil {
@@ -360,17 +360,17 @@ func TestWALConfigValidation(t *testing.T) {
 
 	// Manifest pins geometry: reopening with different shards/blocks fails.
 	dir := t.TempDir()
-	st, err := NewShardedStore(ShardedStoreConfig{Blocks: 1 << 10, Shards: 2, Backend: BackendWAL, Dir: dir})
+	st, err := NewShardedStore(ShardedStoreConfig{Blocks: 1 << 10, Shards: 2, Engine: BackendWAL, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewShardedStore(ShardedStoreConfig{Blocks: 1 << 10, Shards: 4, Backend: BackendWAL, Dir: dir}); err == nil {
+	if _, err := NewShardedStore(ShardedStoreConfig{Blocks: 1 << 10, Shards: 4, Engine: BackendWAL, Dir: dir}); err == nil {
 		t.Fatal("shard-count mismatch accepted")
 	}
-	if _, err := NewShardedStore(ShardedStoreConfig{Blocks: 1 << 11, Shards: 2, Backend: BackendWAL, Dir: dir}); err == nil {
+	if _, err := NewShardedStore(ShardedStoreConfig{Blocks: 1 << 11, Shards: 2, Engine: BackendWAL, Dir: dir}); err == nil {
 		t.Fatal("capacity mismatch accepted")
 	}
 }
@@ -379,7 +379,7 @@ func TestWALConfigValidation(t *testing.T) {
 // the on-disk layout, so either flavor can reopen the other's directory.
 func TestWALStoreShardedInterop(t *testing.T) {
 	dir := t.TempDir()
-	st, err := NewStore(StoreConfig{Blocks: 1 << 10, Backend: BackendWAL, Dir: dir, Seed: 5})
+	st, err := NewStore(StoreConfig{Blocks: 1 << 10, Engine: BackendWAL, Dir: dir, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +389,7 @@ func TestWALStoreShardedInterop(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	sh, err := NewShardedStore(ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, Backend: BackendWAL, Dir: dir, Seed: 5})
+	sh, err := NewShardedStore(ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, Engine: BackendWAL, Dir: dir, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +407,7 @@ func TestWALStoreShardedInterop(t *testing.T) {
 // overwrites after recovery never reuse an IV and still read back last.
 func TestWALReopenContinuesSealing(t *testing.T) {
 	dir := t.TempDir()
-	cfg := StoreConfig{Blocks: 1 << 10, Backend: BackendWAL, Dir: dir}
+	cfg := StoreConfig{Blocks: 1 << 10, Engine: BackendWAL, Dir: dir}
 	for round := uint64(0); round < 3; round++ {
 		st, err := NewStore(cfg)
 		if err != nil {
@@ -439,7 +439,7 @@ func TestWALReopenContinuesSealing(t *testing.T) {
 func TestWALRecoveredStoreStaysDeterministic(t *testing.T) {
 	mk := func() string {
 		dir := t.TempDir()
-		st, err := NewStore(StoreConfig{Blocks: 1 << 10, Backend: BackendWAL, Dir: dir, Seed: 11})
+		st, err := NewStore(StoreConfig{Blocks: 1 << 10, Engine: BackendWAL, Dir: dir, Seed: 11})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -454,7 +454,7 @@ func TestWALRecoveredStoreStaysDeterministic(t *testing.T) {
 		return dir
 	}
 	drive := func(dir string) TrafficReport {
-		st, err := NewStore(StoreConfig{Blocks: 1 << 10, Backend: BackendWAL, Dir: dir, Seed: 11})
+		st, err := NewStore(StoreConfig{Blocks: 1 << 10, Engine: BackendWAL, Dir: dir, Seed: 11})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -629,26 +629,12 @@ func TestBlockfileReopenContinuesSealing(t *testing.T) {
 	}
 }
 
-// TestEngineAliasAndMismatchValidation covers the Engine/Backend plumbing:
-// the two fields are aliases that must agree when both are set, the
-// manifest pins a directory's engine so reopening under the other one is
-// refused, and CryptoWorkers rejects negatives eagerly.
+// TestEngineAliasAndMismatchValidation covers the Engine plumbing: unknown
+// engines are refused, the manifest pins a directory's engine so reopening
+// under the other one is refused, and CryptoWorkers rejects negatives
+// eagerly.
 func TestEngineAliasAndMismatchValidation(t *testing.T) {
-	// Engine and Backend disagreeing is a configuration error.
-	if _, err := NewStore(StoreConfig{
-		Blocks: 1 << 10, Engine: BackendBlockfile, Backend: BackendWAL, Dir: t.TempDir(),
-	}); err == nil {
-		t.Fatal("disagreeing Engine and Backend accepted")
-	}
-	// Both set and equal is fine (belt and suspenders, not a conflict).
-	st, err := NewStore(StoreConfig{
-		Blocks: 1 << 10, Engine: BackendWAL, Backend: BackendWAL, Dir: t.TempDir(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.Close()
-	// Unknown engine names fail the same way unknown backends always have.
+	// Unknown engine names are a configuration error.
 	if _, err := NewStore(StoreConfig{Blocks: 1 << 10, Engine: "tape", Dir: t.TempDir()}); err == nil {
 		t.Fatal("unknown engine accepted")
 	}
@@ -659,7 +645,7 @@ func TestEngineAliasAndMismatchValidation(t *testing.T) {
 	// The manifest pins the engine: a WAL dir refuses to reopen as
 	// blockfile and vice versa (silently mixing formats would corrupt).
 	walDir := t.TempDir()
-	st, err = NewStore(StoreConfig{Blocks: 1 << 10, Engine: BackendWAL, Dir: walDir})
+	st, err := NewStore(StoreConfig{Blocks: 1 << 10, Engine: BackendWAL, Dir: walDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -679,11 +665,4 @@ func TestEngineAliasAndMismatchValidation(t *testing.T) {
 	if _, err := NewStore(StoreConfig{Blocks: 1 << 10, Engine: BackendWAL, Dir: bfDir}); err == nil {
 		t.Fatal("blockfile dir reopened as wal")
 	}
-	// A pre-Engine manifest (no engine key) means WAL: Backend's historic
-	// spelling still opens it.
-	st, err = NewStore(StoreConfig{Blocks: 1 << 10, Backend: BackendWAL, Dir: walDir})
-	if err != nil {
-		t.Fatalf("legacy Backend spelling rejected: %v", err)
-	}
-	st.Close()
 }

@@ -51,7 +51,7 @@ func storeCfg(dir string) palermo.ShardedStoreConfig {
 	return palermo.ShardedStoreConfig{
 		// Blocks/Shards stay zero: a cluster node adopts the manifest's
 		// geometry, so the numbers live in exactly one place.
-		Backend:     palermo.BackendWAL,
+		Engine:      palermo.BackendWAL,
 		Dir:         dir,
 		GroupCommit: 1,
 	}

@@ -1,7 +1,7 @@
 // Package cluster holds the multi-node placement layer of the oblivious
 // store: a manifest mapping contiguous shard ranges onto node addresses
-// under a monotonically increasing geometry epoch, and the declarative
-// server configuration the nodes and the cluster-routing client share.
+// under a monotonically increasing geometry epoch, and the node state a
+// cluster node persists in its directory.
 //
 // The placement map is deliberately tiny and public. Which node serves a
 // shard is a deterministic pure function of the public block id (the §6
@@ -12,6 +12,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -243,4 +244,12 @@ func atomicWrite(path string, data []byte) error {
 		return fmt.Errorf("cluster: %w", err)
 	}
 	return nil
+}
+
+// strictUnmarshal is json.Unmarshal with unknown fields rejected, so a
+// typo in a persisted file fails loudly instead of silently defaulting.
+func strictUnmarshal(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }

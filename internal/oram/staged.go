@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"palermo/internal/otree"
-	"palermo/internal/posmap"
 )
 
 // This file splits Ring.Access into the explicit three-stage form the
@@ -65,47 +64,6 @@ func (op *StagedAccess) FetchSet(dst []uint64) []uint64 {
 
 // Write reports whether the staged access is a write.
 func (op *StagedAccess) Write() bool { return op.write }
-
-// PosmapFetchSet appends the backend-visible data block ids covered by this
-// access's position-map line at recursion level `level`: the PrORAM-style
-// prefetch group. See Ring.PosmapGroup for the contract.
-func (op *StagedAccess) PosmapFetchSet(level int, dst []uint64) []uint64 {
-	return op.e.PosmapGroup(op.pa, level, dst)
-}
-
-// PosmapGroup appends the data-space block-group ids whose leaf assignments
-// live on the position-map line an access to pa reads at recursion level
-// `level` (1 = PosMap1). The recursive posmap levels themselves are
-// engine-resident (FetchSet documents why), so "prefetching a posmap line"
-// means warming the contiguous run of data blocks that line's 16 entries
-// index — the paper's PrORAM group-prefetch insight: blocks sharing a
-// posmap line are spatially adjacent, and an access to one predicts
-// accesses to its siblings.
-//
-// The helper is pure — only integer division via pm.Index, never pm.Leaf
-// or pm.Remap (which draw RNG and would perturb the engine's deterministic
-// state evolution). It is safe to call at plan/announce time, before
-// PlanAccess, on any goroutine. Out-of-range pa or level returns dst
-// unchanged.
-func (e *Ring) PosmapGroup(pa uint64, level int, dst []uint64) []uint64 {
-	if pa >= e.cfg.NLines || level <= 0 || level >= e.pm.Levels() {
-		return dst
-	}
-	groupIdx := pa / uint64(e.cfg.DataSlotLines)
-	span := uint64(1)
-	for l := 0; l < level; l++ {
-		span *= posmap.EntriesPerBlock
-	}
-	start := e.pm.Index(level, groupIdx) * span
-	end := start + span
-	if n := e.pm.Blocks(0); end > n {
-		end = n
-	}
-	for id := start; id < end; id++ {
-		dst = append(dst, id)
-	}
-	return dst
-}
 
 // Apply executes the engine transition of the staged access — the posmap
 // remaps, path reads, stash merge, and evictions of every hierarchy level,

@@ -101,19 +101,15 @@ type PrefetchBackend interface {
 }
 
 // DeepPrefetchBackend is the multi-line extension the deep planner
-// (Config.PrefetchDepth > 1 or Config.PosmapPrefetch) drives. PrefetchSet
-// announces a whole fetch set in one vectored request and reports how many
-// leading lines were accepted; DropPrefetch releases an accepted announce
-// whose read will never materialize (an overload shed, an expired
-// speculative line) so announce window slots cannot leak; PosmapGroup
-// names the announced id's position-map-group siblings — the contiguous
-// data lines its level-1 posmap line covers — for speculative warming.
-// shard.Shard implements it.
+// (Config.PrefetchDepth > 1) drives. PrefetchSet announces a whole fetch
+// set in one vectored request and reports how many leading lines were
+// accepted; DropPrefetch releases an accepted announce whose read will
+// never materialize (an overload shed) so announce window slots cannot
+// leak. shard.Shard implements it.
 type DeepPrefetchBackend interface {
 	PrefetchBackend
 	PrefetchSet(locals []uint64) int
 	DropPrefetch(local uint64) bool
-	PosmapGroup(local uint64, dst []uint64) []uint64
 }
 
 // Config tunes the service. The zero value uses the defaults.
@@ -150,13 +146,6 @@ type Config struct {
 	// bit-exactly. Only meaningful with Prefetch and a
 	// DeepPrefetchBackend. Default 1.
 	PrefetchDepth int
-	// PosmapPrefetch additionally announces each planned read's
-	// position-map-group siblings (DeepPrefetchBackend.PosmapGroup): the
-	// contiguous data lines the access's level-1 posmap line covers, so
-	// one announce warms the whole recursive hierarchy's backend lines.
-	// Speculative lines nobody reads are dropped after the planning
-	// horizon passes. Requires Prefetch. Default off.
-	PosmapPrefetch bool
 	// AdmissionDeadline bounds how long a request may wait in its shard
 	// queue before the worker sheds it: a request picked up more than this
 	// long after submission is answered ErrRetry without executing, so an
@@ -253,23 +242,16 @@ type worker struct {
 	dropper interface{ DropPrefetch(local uint64) bool }
 	ann     map[uint64]bool
 
-	// Deep planner state (PrefetchDepth > 1 or PosmapPrefetch). backlog
-	// holds queued submissions chunked into the exact batches the
-	// coalescing rule will serve; annOut tracks every id with an
-	// outstanding announce across all predicted batches (one claim each);
-	// spec is the FIFO of speculative posmap-group lines with their expiry
-	// batch; serveSeq counts served batches for that expiry.
+	// Deep planner state (PrefetchDepth > 1). backlog holds queued
+	// submissions chunked into the exact batches the coalescing rule will
+	// serve; annOut tracks every id with an outstanding announce across
+	// all predicted batches (one claim each).
 	deep      DeepPrefetchBackend
 	deepDepth int
-	posmap    bool
 	backlog   []*predBatch
 	qClosed   bool
 	annOut    map[uint64]bool
-	spec      []specLine
-	serveSeq  uint64
 	annBuf    []uint64 // announce-set scratch, issue order
-	annDemand []bool   // parallel to annBuf: demand line (vs speculative sibling)
-	groupBuf  []uint64 // PosmapGroup scratch
 
 	// statMu guards the histograms and counters below; they are written by
 	// the worker once per completed request and read by Stats.
@@ -308,14 +290,6 @@ type predBatch struct {
 	ann    map[uint64]bool // accepted announces to claim (BeginRead) or drop
 }
 
-// specLine is one speculative posmap-group announce: dropped (if still
-// unclaimed) once serveSeq passes expire, the planning horizon after its
-// announcing batch.
-type specLine struct {
-	id     uint64
-	expire uint64
-}
-
 // New starts one worker goroutine per backend.
 func New(backends []Backend, cfg Config) *Service {
 	cfg.defaults()
@@ -343,10 +317,9 @@ func New(backends []Backend, cfg Config) *Service {
 					// without it keep the legacy fire-and-forget planner.
 					w.dropper = dp
 					w.ann = make(map[uint64]bool)
-					if cfg.PrefetchDepth > 1 || cfg.PosmapPrefetch {
+					if cfg.PrefetchDepth > 1 {
 						w.deep = dp
-						w.deepDepth = max(cfg.PrefetchDepth, 1)
-						w.posmap = cfg.PosmapPrefetch
+						w.deepDepth = cfg.PrefetchDepth
 						w.annOut = make(map[uint64]bool)
 					}
 				}
@@ -556,12 +529,12 @@ func (w *worker) run() {
 	}
 }
 
-// runDeep is the worker loop of the deep planner (PrefetchDepth > 1 or
-// PosmapPrefetch): queued submissions are pulled into a backlog chunked by
-// the exact coalescing rule the legacy loop applies, fetch sets are
-// announced for up to deepDepth predicted batches ahead, and then the
-// front batch is served — so batch k+1's (and its posmap groups') backend
-// lines are already moving while batch k's engine stages run. Served
+// runDeep is the worker loop of the deep planner (PrefetchDepth > 1):
+// queued submissions are pulled into a backlog chunked by the exact
+// coalescing rule the legacy loop applies, fetch sets are announced for up
+// to deepDepth predicted batches ahead, and then the front batch is
+// served — so batch k+1's backend lines are already moving while batch
+// k's engine stages run. Served
 // batches, dedup semantics, and engine-stage order are identical to the
 // legacy loop; only announce timing differs.
 func (w *worker) runDeep(cache map[uint64][]byte) {
@@ -647,17 +620,15 @@ func (w *worker) fill() {
 }
 
 // announceBatch announces one predicted batch's fetch set: each distinct
-// id whose first operation in the batch is a read (the legacy plan rule),
-// plus — with PosmapPrefetch — its position-map-group siblings as
-// speculative lines. Ids with an announce already outstanding anywhere in
-// the horizon are skipped (one claim each), so re-running the pass after
-// the batch grows announces only the new ids. The whole set goes to the
-// backend as one vectored PrefetchSet; the accepted prefix is recorded
-// for claim/drop accounting — demand lines on the batch, speculative ones
-// on the expiry FIFO.
+// id whose first operation in the batch is a read (the legacy plan rule).
+// Ids with an announce already outstanding anywhere in the horizon are
+// skipped (one claim each), so re-running the pass after the batch grows
+// announces only the new ids. The whole set goes to the backend as one
+// vectored PrefetchSet; the accepted prefix is recorded on the batch for
+// claim/drop accounting.
 func (w *worker) announceBatch(pb *predBatch) {
 	clear(w.pfSeen)
-	w.annBuf, w.annDemand = w.annBuf[:0], w.annDemand[:0]
+	w.annBuf = w.annBuf[:0]
 	for _, g := range pb.groups {
 		for _, r := range g {
 			if r.op != OpRead && r.op != OpWrite {
@@ -673,18 +644,6 @@ func (w *worker) announceBatch(pb *predBatch) {
 			if !w.annOut[r.id] {
 				w.annOut[r.id] = true
 				w.annBuf = append(w.annBuf, r.id)
-				w.annDemand = append(w.annDemand, true)
-			}
-			if w.posmap {
-				w.groupBuf = w.deep.PosmapGroup(r.id, w.groupBuf[:0])
-				for _, sib := range w.groupBuf {
-					if sib == r.id || w.annOut[sib] {
-						continue
-					}
-					w.annOut[sib] = true
-					w.annBuf = append(w.annBuf, sib)
-					w.annDemand = append(w.annDemand, false)
-				}
 			}
 		}
 	}
@@ -697,11 +656,7 @@ func (w *worker) announceBatch(pb *predBatch) {
 			delete(w.annOut, id) // declined (window full): free for a retry
 			continue
 		}
-		if w.annDemand[i] {
-			pb.ann[id] = true
-		} else {
-			w.spec = append(w.spec, specLine{id: id, expire: w.serveSeq + uint64(w.deepDepth)})
-		}
+		pb.ann[id] = true
 	}
 	if n > 0 {
 		w.statMu.Lock()
@@ -711,9 +666,7 @@ func (w *worker) announceBatch(pb *predBatch) {
 }
 
 // dropUnclaimed releases every announce the finished batch did not claim —
-// a shed read, a failed Begin — plus speculative group lines whose
-// planning horizon has passed. DropPrefetch on a line a read consumed in
-// the meantime is a no-op, so expiry needs no consumption tracking.
+// a shed read, a failed Begin.
 func (w *worker) dropUnclaimed() {
 	if w.dropper == nil {
 		return
@@ -723,15 +676,6 @@ func (w *worker) dropUnclaimed() {
 		delete(w.annOut, id)
 	}
 	clear(w.ann)
-	w.serveSeq++
-	for len(w.spec) > 0 && w.spec[0].expire <= w.serveSeq {
-		sl := w.spec[0]
-		w.spec = w.spec[1:]
-		if w.annOut[sl.id] {
-			w.dropper.DropPrefetch(sl.id)
-			delete(w.annOut, sl.id)
-		}
-	}
 }
 
 // serve executes one coalesced batch in arrival order. cache maps block id
@@ -797,8 +741,8 @@ func (w *worker) serve(ops []*request, cache map[uint64][]byte) {
 			if w.ann != nil && (w.ann[r.id] || w.annOut[r.id]) {
 				if err == nil {
 					// The Begin claimed this id's outstanding announce (the
-					// current batch's demand line, a speculative group line,
-					// or a future batch's early announce) — no batch-end
+					// current batch's demand line or a future batch's early
+					// announce) — no batch-end
 					// drop needed, and the id is free to announce again.
 					delete(w.ann, r.id)
 					delete(w.annOut, r.id)

@@ -688,26 +688,23 @@ func TestServeNoDeadlineNeverSheds(t *testing.T) {
 }
 
 // deepMemBackend adds the DeepPrefetchBackend surface: vectored announces
-// with a configurable acceptance cap, posmap groups from a lookup table,
-// and shard-style claim accounting — a BeginRead consumes an outstanding
+// with a configurable acceptance cap and shard-style claim accounting — a BeginRead consumes an outstanding
 // announce, DropPrefetch releases one — so announce-window leaks are
 // directly observable as a nonzero outstanding count. All mutation happens
 // on the worker goroutine; tests read the fields after Close or via Sync.
 type deepMemBackend struct {
 	*prefetchMemBackend
-	sets        [][]uint64          // every PrefetchSet call's accepted prefix
-	dropped     []uint64            // DropPrefetch claims, in order
-	outstanding map[uint64]int      // announced minus claimed/dropped, per id
-	groups      map[uint64][]uint64 // PosmapGroup answers
-	accept      int                 // max lines accepted per announce call (0 = all)
-	claimed     int                 // BeginReads that consumed an announce
+	sets        [][]uint64     // every PrefetchSet call's accepted prefix
+	dropped     []uint64       // DropPrefetch claims, in order
+	outstanding map[uint64]int // announced minus claimed/dropped, per id
+	accept      int            // max lines accepted per announce call (0 = all)
+	claimed     int            // BeginReads that consumed an announce
 }
 
 func newDeepMemBackend() *deepMemBackend {
 	return &deepMemBackend{
 		prefetchMemBackend: &prefetchMemBackend{stagedMemBackend: &stagedMemBackend{memBackend: newMemBackend()}},
 		outstanding:        make(map[uint64]int),
-		groups:             make(map[uint64][]uint64),
 	}
 }
 
@@ -745,10 +742,6 @@ func (d *deepMemBackend) DropPrefetch(local uint64) bool {
 	d.outstanding[local]--
 	d.dropped = append(d.dropped, local)
 	return true
-}
-
-func (d *deepMemBackend) PosmapGroup(local uint64, dst []uint64) []uint64 {
-	return append(dst, d.groups[local]...)
 }
 
 func (d *deepMemBackend) BeginRead(id uint64) (Access, error) {
@@ -842,64 +835,6 @@ func TestServeDeepPlannerBacklog(t *testing.T) {
 	}
 	if b.claimed != len(want) {
 		t.Fatalf("claimed %d announces, want %d", b.claimed, len(want))
-	}
-}
-
-// TestServeDeepPosmapSiblings: with PosmapPrefetch on, a read's announce
-// set carries its posmap-group siblings. A sibling the batch also reads is
-// claimed by that read (announced once, demand-promoted, never dropped); a
-// sibling nobody reads expires with the planning horizon and is released.
-func TestServeDeepPosmapSiblings(t *testing.T) {
-	b := newDeepMemBackend()
-	b.groups[7] = []uint64{7, 8}
-	b.groups[20] = []uint64{20, 21}
-	s := New([]Backend{b}, Config{PipelineDepth: 4, Prefetch: true, PosmapPrefetch: true})
-	// Batch 1: reads 7 and 8 — 8 rides 7's group announce and is claimed
-	// by its own read, not re-announced.
-	futs, err := s.SubmitBatch(0, []Req{{Op: OpRead, ID: 7}, {Op: OpRead, ID: 8}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range futs {
-		if _, err := f.Wait(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var announced, dropped []uint64
-	if err := s.Sync(0, func() {
-		announced = append([]uint64(nil), b.announced...)
-		dropped = append([]uint64(nil), b.dropped...)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if want := []uint64{7, 8}; !reflect.DeepEqual(announced, want) {
-		t.Fatalf("announced %v, want %v (sibling announced once, as part of the set)", announced, want)
-	}
-	if len(dropped) != 0 {
-		t.Fatalf("dropped %v; both lines were read and claimed", dropped)
-	}
-	// Batch 2: read 20 alone — sibling 21 is speculative, nobody reads it,
-	// and it must be dropped when its horizon expires, freeing the slot.
-	if _, err := s.Read(0, 20); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Read(0, 5); err != nil { // one more batch pushes the horizon past 21
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	foundDrop := false
-	for _, id := range b.dropped {
-		if id == 21 {
-			foundDrop = true
-		}
-	}
-	if !foundDrop {
-		t.Fatalf("speculative sibling 21 never released (dropped %v)", b.dropped)
-	}
-	if n := b.totalOutstanding(); n != 0 {
-		t.Fatalf("%d announces leaked at close", n)
 	}
 }
 

@@ -180,11 +180,11 @@ func TestPrefetchRequiresPipeline(t *testing.T) {
 }
 
 // TestPrefetchSetEquivalence is TestPrefetchEquivalence for the vectored
-// announce: every read's full fetch set — the line itself plus its
-// posmap-group siblings — goes through one PrefetchSet call, and payloads,
-// leaf traces, and protocol counters must still match the plain twin
-// bit for bit. Sibling announces that no read consumes are released with
-// DropPrefetch, exactly as the deep planner does at batch end.
+// announce: every read's fetch set — the line itself plus the other lines
+// of its aligned 16-line run — goes through one PrefetchSet call, and
+// payloads, leaf traces, and protocol counters must still match the plain
+// twin bit for bit. Sibling announces that no read consumes are released
+// with DropPrefetch, exactly as the deep planner does at batch end.
 func TestPrefetchSetEquivalence(t *testing.T) {
 	plain, pf := pfShard(t, 0), pfShard(t, 64)
 	r := rng.New(3)
@@ -209,7 +209,11 @@ func TestPrefetchSetEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		group = append(group[:0], id)
-		group = pf.PosmapGroup(id, group)
+		for l := id &^ 15; l < id&^15+16; l++ {
+			if l != id {
+				group = append(group, l)
+			}
+		}
 		n := pf.PrefetchSet(group)
 		got2, err := pf.Read(id)
 		if err != nil {
@@ -306,38 +310,5 @@ func TestDropPrefetch(t *testing.T) {
 	c = s.Snapshot()
 	if c.PrefetchIssued != 3 || c.PrefetchUsed != 1 || c.PrefetchStale != 2 {
 		t.Fatalf("final accounting wrong: %+v", c)
-	}
-}
-
-// TestPosmapGroup: the posmap group of a line is the contiguous run of
-// data lines indexed by the same level-1 position-map block — it contains
-// the line itself, stays in range, and is identical for every member of
-// the group (the planner dedups on that).
-func TestPosmapGroup(t *testing.T) {
-	s := pfShard(t, 64)
-	g := s.PosmapGroup(40, nil)
-	if len(g) == 0 {
-		t.Skip("engine exposes no posmap levels at this geometry")
-	}
-	found := false
-	for _, id := range g {
-		if id == 40 {
-			found = true
-		}
-		if id >= 1<<10 {
-			t.Fatalf("group member %d out of range", id)
-		}
-	}
-	if !found {
-		t.Fatalf("group %v does not contain its own line", g)
-	}
-	for _, id := range g {
-		peer := s.PosmapGroup(id, nil)
-		if !reflect.DeepEqual(peer, g) {
-			t.Fatalf("group of member %d = %v, want %v", id, peer, g)
-		}
-	}
-	if s.PosmapGroup(1<<20, nil) != nil {
-		t.Fatal("out-of-range line produced a posmap group")
 	}
 }

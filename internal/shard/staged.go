@@ -143,8 +143,7 @@ func (s *Shard) pfAdmit(local uint64) bool {
 // Every issued prefetch must eventually be claimed — by a BeginRead of the
 // same local, or by DropPrefetch when the serve planner learns the read
 // will never materialize (an overload shed, a dedup against an in-flight
-// pipeline entry, an unread speculative group line). Either claim frees
-// the line's window slot.
+// pipeline entry). Either claim frees the line's window slot.
 func (s *Shard) PrefetchRead(local uint64) bool {
 	if s.pfq == nil || s.closed || s.ioErr != nil || !s.pfAdmit(local) {
 		return false
@@ -153,8 +152,8 @@ func (s *Shard) PrefetchRead(local uint64) bool {
 	return true
 }
 
-// PrefetchSet announces a multi-line fetch set in one call: posmap-group
-// siblings and deep-planned data lines ride one I/O request, which the I/O
+// PrefetchSet announces a multi-line fetch set in one call: deep-planned
+// data lines ride one I/O request, which the I/O
 // goroutine serves with a single vectored GetMany (consecutive locals
 // coalesce into one pread on the blockfile engine). Lines are admitted in
 // order until the window fills or an out-of-range id appears; the return
@@ -251,21 +250,6 @@ func (s *Shard) claimPrefetch(local uint64, sl pfSlot, drop bool) (ioRes, bool) 
 	}
 	s.pfUsedN++
 	return sl.res, true
-}
-
-// PosmapGroup appends the shard-local fetch ids of local's level-1
-// position-map group: the contiguous sibling run whose leaf assignments
-// share the posmap line an access to local reads — the engine's
-// PrORAM-style group helper surfaced at the shard boundary so the serve
-// planner can announce the whole recursive hierarchy's backend lines.
-// Pure (integer arithmetic only, no RNG, no engine state), so callable at
-// announce time without perturbing determinism. Fetch ids equal shard
-// locals because the shard pins DataSlotLines == 1.
-func (s *Shard) PosmapGroup(local uint64, dst []uint64) []uint64 {
-	if local >= s.blocks {
-		return dst
-	}
-	return s.engine.PosmapGroup(local, 1, dst)
 }
 
 // ioLoop is the I/O stage: execute queued requests in order, coalescing

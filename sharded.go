@@ -19,9 +19,12 @@ package palermo
 
 import (
 	"fmt"
+	"path/filepath"
 	"time"
 
 	"palermo/internal/backend"
+	"palermo/internal/backend/blockfile"
+	"palermo/internal/backend/wal"
 	"palermo/internal/serve"
 	"palermo/internal/shard"
 )
@@ -29,6 +32,11 @@ import (
 // MaxShards bounds ShardedStoreConfig.Shards: beyond a few thousand
 // workers the per-shard trees are tiny and goroutine overhead dominates.
 const MaxShards = 1024
+
+// MaxPrefetchDepth caps the deep planner's look-ahead for both sharded
+// flavors: beyond a few dozen predicted batches the announce window — not
+// the horizon — is the binding resource, so larger values are typos.
+const MaxPrefetchDepth = 64
 
 // ShardedStoreConfig configures a sharded oblivious store.
 type ShardedStoreConfig struct {
@@ -55,10 +63,6 @@ type ShardedStoreConfig struct {
 	// BackendWAL, or BackendBlockfile (durable engines require Dir; each
 	// shard owns a sub-directory). See StoreConfig for the full semantics.
 	Engine string
-	// Backend is the original name of the Engine knob, kept as an alias
-	// so existing callers and configs keep working. Setting both to
-	// different values is an error.
-	Backend string
 	// Dir is the durable store directory (durable engines only). Its
 	// manifest pins Blocks, Shards, and the engine, so reopening with a
 	// different geometry fails instead of silently mis-routing ids.
@@ -97,13 +101,6 @@ type ShardedStoreConfig struct {
 	// keeps the one-batch planner bit-exactly; requires Prefetch,
 	// otherwise it is ignored. Max MaxPrefetchDepth. Default 1.
 	PrefetchDepth int
-	// PosmapPrefetch additionally announces each planned read's
-	// position-map-group siblings — the contiguous data lines its level-1
-	// posmap line covers — so one announce warms the recursive hierarchy's
-	// backend lines (DESIGN.md §14). Speculative lines nobody reads are
-	// dropped after the planning horizon. Access-pattern-neutral like
-	// Prefetch; requires Prefetch, otherwise it is ignored. Default off.
-	PosmapPrefetch bool
 	// CryptoWorkers offloads each shard's seal/unseal AES transforms to a
 	// bounded worker pool hung off its I/O stage (capped at GOMAXPROCS
 	// per shard; 0 = inline; requires PipelineDepth > 1). Determinism is
@@ -134,6 +131,142 @@ func (c *ShardedStoreConfig) defaults() {
 	}
 }
 
+// validate checks c, resolves its engine and applies the defaults: the
+// one configuration path of Store, ShardedStore and ClusterNode. A durable
+// engine's directory gains (or must match) the manifest pinning Blocks,
+// Shards and the engine, so a store reopened with a different geometry
+// fails instead of silently mis-routing ids. Returns the id router of the
+// validated geometry.
+func (c *ShardedStoreConfig) validate() (shard.Router, error) {
+	for _, k := range []struct {
+		name string
+		v    int
+		max  int // 0 = unbounded
+	}{
+		{"PipelineDepth", c.PipelineDepth, MaxPipelineDepth},
+		{"TreeTopLevels", c.TreeTopLevels, MaxTreeTopLevels},
+		{"PrefetchDepth", c.PrefetchDepth, MaxPrefetchDepth},
+		{"CryptoWorkers", c.CryptoWorkers, 0},
+		{"QueueDepth", c.QueueDepth, 0},
+		{"MaxBatch", c.MaxBatch, 0},
+		{"SlotCacheBytes", c.SlotCacheBytes, 0},
+	} {
+		if k.v < 0 || (k.max > 0 && k.v > k.max) {
+			bound := ">= 0"
+			if k.max > 0 {
+				bound = fmt.Sprintf("in [0, %d]", k.max)
+			}
+			return shard.Router{}, fmt.Errorf("palermo: %s must be %s, got %d", k.name, bound, k.v)
+		}
+	}
+	c.defaults()
+	if c.Blocks > MaxBlocks {
+		return shard.Router{}, fmt.Errorf("palermo: Blocks %d exceeds the maximum capacity of %d blocks", c.Blocks, uint64(MaxBlocks))
+	}
+	if n := len(c.Key); n != 16 && n != 24 && n != 32 {
+		return shard.Router{}, fmt.Errorf("palermo: Key must be 16, 24, or 32 bytes (AES-128/192/256), got %d", n)
+	}
+	if c.Shards < 1 || c.Shards > MaxShards {
+		return shard.Router{}, fmt.Errorf("palermo: Shards must be in [1, %d], got %d", MaxShards, c.Shards)
+	}
+	switch c.Engine {
+	case "", BackendMemory:
+		if c.Dir != "" {
+			return shard.Router{}, fmt.Errorf("palermo: Dir is set but Engine is %q (did you mean Engine: palermo.BackendWAL or palermo.BackendBlockfile?)", c.Engine)
+		}
+		c.Engine = BackendMemory
+	case BackendWAL, BackendBlockfile:
+		if c.Dir == "" {
+			return shard.Router{}, fmt.Errorf("palermo: Engine %q requires Dir", c.Engine)
+		}
+	default:
+		return shard.Router{}, fmt.Errorf("palermo: unknown Engine %q (want %q, %q, or %q)", c.Engine, BackendMemory, BackendWAL, BackendBlockfile)
+	}
+	if c.SlotCacheBytes > 0 && c.Engine != BackendBlockfile {
+		return shard.Router{}, fmt.Errorf("palermo: SlotCacheBytes requires Engine %q, got %q", BackendBlockfile, c.Engine)
+	}
+	router, err := shard.NewRouter(c.Blocks, c.Shards)
+	if err != nil {
+		return shard.Router{}, fmt.Errorf("palermo: %w", err)
+	}
+	if c.Dir != "" {
+		if err := wal.EnsureManifest(c.Dir, wal.Manifest{Version: wal.ManifestVersion, Blocks: c.Blocks, Shards: c.Shards, Engine: c.Engine}); err != nil {
+			return shard.Router{}, fmt.Errorf("palermo: %w", err)
+		}
+	}
+	return router, nil
+}
+
+// shardDir is shard i's sub-directory of a durable store directory.
+func shardDir(dir string, i int) string {
+	return filepath.Join(dir, fmt.Sprintf("shard-%04d", i))
+}
+
+// openShard builds shard i of a validated configuration: it opens the
+// shard's backend (none for the memory engine), builds the engine with the
+// given seed, runs restore when non-nil (a migration's import, which must
+// precede the pipeline), and applies the tuning knobs. Every store flavor
+// builds its shards here, so they are protocol-identical.
+func (c *ShardedStoreConfig) openShard(router shard.Router, i int, seed uint64, restore func(*shard.Shard) error) (*shard.Shard, backend.Backend, error) {
+	var be backend.Backend
+	var err error
+	switch c.Engine {
+	case BackendWAL:
+		be, err = wal.Open(shardDir(c.Dir, i), wal.Options{GroupCommit: c.GroupCommit, CommitDepth: c.PipelineDepth})
+	case BackendBlockfile:
+		be, err = blockfile.Open(shardDir(c.Dir, i), blockfile.Options{GroupCommit: c.GroupCommit, CacheBytes: c.SlotCacheBytes})
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("shard %d: %w", i, err)
+	}
+	sh, err := shard.New(i, c.Shards, router.ShardBlocks(i), c.Key, seed, be)
+	if err != nil {
+		if be != nil {
+			be.Close()
+		}
+		return nil, nil, err
+	}
+	if restore != nil {
+		if err := restore(sh); err != nil {
+			sh.Retire() // never farewell-checkpoint a half-restored shard
+			sh.Close()
+			return nil, nil, err
+		}
+	}
+	switch {
+	case c.CheckpointEvery < 0:
+		sh.SetCheckpointEvery(0)
+	case c.CheckpointEvery > 0:
+		sh.SetCheckpointEvery(uint64(c.CheckpointEvery))
+	}
+	sh.SetTreeTopLevels(c.TreeTopLevels)
+	sh.EnablePipeline(c.PipelineDepth)
+	sh.EnableCryptoPool(c.CryptoWorkers)
+	if c.Prefetch {
+		sh.EnablePrefetch(max(c.MaxBatch, serveDefaultMaxBatch) * max(c.PrefetchDepth, 1))
+	}
+	return sh, be, nil
+}
+
+// serveDefaultMaxBatch mirrors serve.Config's MaxBatch default for sizing
+// the shard prefetch window when the config leaves MaxBatch zero: one
+// batch of distinct reads per predicted batch (the one-batch planner never
+// declines mid-plan at depth 1). Sizing is a throughput knob, not
+// correctness — PrefetchSet declines gracefully past the window.
+const serveDefaultMaxBatch = 64
+
+// serveConfig is the service-layer configuration of c.
+func (c *ShardedStoreConfig) serveConfig() serve.Config {
+	return serve.Config{
+		QueueDepth:        c.QueueDepth,
+		MaxBatch:          c.MaxBatch,
+		PipelineDepth:     c.PipelineDepth,
+		Prefetch:          c.Prefetch,
+		PrefetchDepth:     c.PrefetchDepth,
+		AdmissionDeadline: c.AdmissionDeadline,
+	}
+}
+
 // ShardedStore is a concurrent oblivious 64-byte-block store.
 type ShardedStore struct {
 	router shard.Router
@@ -144,104 +277,27 @@ type ShardedStore struct {
 
 // NewShardedStore builds the shards and starts their workers.
 func NewShardedStore(cfg ShardedStoreConfig) (*ShardedStore, error) {
-	if err := validatePipelineDepth(cfg.PipelineDepth); err != nil {
-		return nil, err
-	}
-	if err := validateTreeTopLevels(cfg.TreeTopLevels); err != nil {
-		return nil, err
-	}
-	if err := validateCryptoWorkers(cfg.CryptoWorkers); err != nil {
-		return nil, err
-	}
-	if err := validatePrefetchDepth(cfg.PrefetchDepth); err != nil {
-		return nil, err
-	}
-	engine, err := resolveEngine(cfg.Engine, cfg.Backend)
+	router, err := cfg.validate()
 	if err != nil {
 		return nil, err
 	}
-	cfg.Backend = engine
-	cfg.Engine = ""
-	cfg.defaults()
-	if err := validateStoreParams(cfg.Blocks, cfg.Key); err != nil {
-		return nil, err
-	}
-	if cfg.Shards < 1 || cfg.Shards > MaxShards {
-		return nil, fmt.Errorf("palermo: Shards must be in [1, %d], got %d", MaxShards, cfg.Shards)
-	}
-	if cfg.QueueDepth < 0 || cfg.MaxBatch < 0 {
-		return nil, fmt.Errorf("palermo: QueueDepth/MaxBatch must be >= 0")
-	}
-	router, err := shard.NewRouter(cfg.Blocks, cfg.Shards)
-	if err != nil {
-		return nil, fmt.Errorf("palermo: %w", err)
-	}
-	if cfg.Backend == "" {
-		cfg.Backend = BackendMemory
-	}
-	if err := validateSlotCacheBytes(cfg.SlotCacheBytes, cfg.Backend); err != nil {
-		return nil, err
-	}
-	bes, err := openBackends(cfg.Backend, cfg.Dir, cfg.Blocks, cfg.Shards, cfg.GroupCommit, cfg.PipelineDepth, cfg.SlotCacheBytes)
-	if err != nil {
-		return nil, err
-	}
-	st := &ShardedStore{router: router, bes: bes}
+	st := &ShardedStore{router: router}
 	backends := make([]serve.Backend, cfg.Shards)
-	for i := 0; i < cfg.Shards; i++ {
-		sh, err := shard.New(i, cfg.Shards, router.ShardBlocks(i), cfg.Key, shard.DeriveSeed(cfg.Seed, i), bes[i])
+	for i := range backends {
+		sh, be, err := cfg.openShard(router, i, shard.DeriveSeed(cfg.Seed, i), nil)
 		if err != nil {
-			for _, be := range bes {
-				if be != nil {
-					be.Close()
-				}
+			for _, open := range st.shards {
+				open.Retire() // nothing served: leave the directory as found
+				open.Close()
 			}
 			return nil, fmt.Errorf("palermo: %w", err)
 		}
-		applyCheckpointEvery(sh, cfg.CheckpointEvery)
-		sh.SetTreeTopLevels(cfg.TreeTopLevels)
-		sh.EnablePipeline(cfg.PipelineDepth)
-		sh.EnableCryptoPool(cfg.CryptoWorkers)
-		if cfg.Prefetch {
-			sh.EnablePrefetch(prefetchWindow(cfg.MaxBatch, cfg.PrefetchDepth, cfg.PosmapPrefetch))
-		}
 		st.shards = append(st.shards, sh)
+		st.bes = append(st.bes, be)
 		backends[i] = stagedShard{sh}
 	}
-	st.svc = serve.New(backends, serve.Config{
-		QueueDepth:        cfg.QueueDepth,
-		MaxBatch:          cfg.MaxBatch,
-		PipelineDepth:     cfg.PipelineDepth,
-		Prefetch:          cfg.Prefetch,
-		PrefetchDepth:     cfg.PrefetchDepth,
-		PosmapPrefetch:    cfg.PosmapPrefetch,
-		AdmissionDeadline: cfg.AdmissionDeadline,
-	})
+	st.svc = serve.New(backends, cfg.serveConfig())
 	return st, nil
-}
-
-// serveDefaultMaxBatch mirrors serve.Config's MaxBatch default for sizing
-// the shard prefetch window when the config leaves MaxBatch zero.
-const serveDefaultMaxBatch = 64
-
-// prefetchWindow sizes a shard's announce window for the planner's
-// horizon: one batch of distinct reads per predicted batch (the one-batch
-// planner never declines mid-plan at depth 1), doubled when posmap-group
-// siblings ride along. Sizing is a throughput knob, not correctness —
-// PrefetchSet declines gracefully past the window.
-func prefetchWindow(maxBatch, depth int, posmap bool) int {
-	w := maxInt(maxBatch, serveDefaultMaxBatch) * maxInt(depth, 1)
-	if posmap {
-		w *= 2
-	}
-	return w
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // stagedShard adapts *shard.Shard to serve.StagedBackend: the shard's
@@ -421,27 +477,9 @@ func (s *ShardedStore) Traffic() TrafficReport {
 			s.svc.WaitClosed()
 			c = sh.Snapshot()
 		}
-		rep.Reads += c.Reads
-		rep.Writes += c.Writes
-		rep.DRAMReads += c.DRAMReads
-		rep.DRAMWrites += c.DRAMWrites
-		rep.TreeTopHits += c.TreeTopHits
-		rep.PrefetchIssued += c.PrefetchIssued
-		rep.PrefetchUsed += c.PrefetchUsed
-		rep.PrefetchStale += c.PrefetchStale
-		if c.StashPeak > rep.StashPeak {
-			rep.StashPeak = c.StashPeak
-		}
+		rep.add(c, s.bes[i])
 	}
-	if ops := rep.Reads + rep.Writes; ops > 0 {
-		rep.AmplificationFactor = float64(rep.DRAMReads+rep.DRAMWrites) / float64(ops)
-	}
-	for _, be := range s.bes {
-		h, m := slotCacheStats(be)
-		rep.SlotCacheHits += h
-		rep.SlotCacheMisses += m
-	}
-	return rep
+	return rep.amplified()
 }
 
 // EnableTraces starts recording every shard's operation/leaf trace (the

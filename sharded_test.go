@@ -79,9 +79,9 @@ func TestShardedStoreConfigValidation(t *testing.T) {
 		{"MaxBatch negative", ShardedStoreConfig{Blocks: 1 << 10, MaxBatch: -1}},
 		{"PipelineDepth negative", ShardedStoreConfig{Blocks: 1 << 10, PipelineDepth: -1}},
 		{"PipelineDepth beyond cap", ShardedStoreConfig{Blocks: 1 << 10, PipelineDepth: MaxPipelineDepth + 1}},
-		{"Backend unknown", ShardedStoreConfig{Blocks: 1 << 10, Backend: "etcd"}},
-		{"Backend memory with Dir", ShardedStoreConfig{Blocks: 1 << 10, Backend: BackendMemory, Dir: t.TempDir()}},
-		{"Backend wal without Dir", ShardedStoreConfig{Blocks: 1 << 10, Backend: BackendWAL}},
+		{"Backend unknown", ShardedStoreConfig{Blocks: 1 << 10, Engine: "etcd"}},
+		{"Backend memory with Dir", ShardedStoreConfig{Blocks: 1 << 10, Engine: BackendMemory, Dir: t.TempDir()}},
+		{"Backend wal without Dir", ShardedStoreConfig{Blocks: 1 << 10, Engine: BackendWAL}},
 	}
 	for _, tc := range rejected {
 		_, err := NewShardedStore(tc.cfg)
@@ -102,8 +102,8 @@ func TestShardedStoreConfigValidation(t *testing.T) {
 		{"MaxBatch explicit", ShardedStoreConfig{Blocks: 1 << 10, MaxBatch: 1}},
 		{"PipelineDepth serial", ShardedStoreConfig{Blocks: 1 << 10, PipelineDepth: 1}},
 		{"PipelineDepth max", ShardedStoreConfig{Blocks: 1 << 10, PipelineDepth: MaxPipelineDepth}},
-		{"CheckpointEvery negative disables", ShardedStoreConfig{Blocks: 1 << 10, Shards: 2, Backend: BackendWAL, Dir: t.TempDir(), CheckpointEvery: -1}},
-		{"GroupCommit negative defaults", ShardedStoreConfig{Blocks: 1 << 10, Shards: 2, Backend: BackendWAL, Dir: t.TempDir(), GroupCommit: -1}},
+		{"CheckpointEvery negative disables", ShardedStoreConfig{Blocks: 1 << 10, Shards: 2, Engine: BackendWAL, Dir: t.TempDir(), CheckpointEvery: -1}},
+		{"GroupCommit negative defaults", ShardedStoreConfig{Blocks: 1 << 10, Shards: 2, Engine: BackendWAL, Dir: t.TempDir(), GroupCommit: -1}},
 	}
 	for _, tc := range accepted {
 		st, err := NewShardedStore(tc.cfg)

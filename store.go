@@ -18,10 +18,8 @@ package palermo
 
 import (
 	"fmt"
-	"path/filepath"
 
 	"palermo/internal/backend"
-	"palermo/internal/backend/blockfile"
 	"palermo/internal/backend/wal"
 	"palermo/internal/shard"
 )
@@ -33,24 +31,6 @@ const BlockSize = shard.BlockBytes
 // (2^40 blocks = 64 TB). Beyond it, tree-depth arithmetic in the engine
 // layer would overflow; the constructors reject it eagerly instead.
 const MaxBlocks = 1 << 40
-
-// validateStoreParams rejects configurations that would otherwise fail
-// deep inside oram.NewRing (or not fail at all and overflow), with a
-// clear palermo:-prefixed error. Called after defaults are applied.
-func validateStoreParams(blocks uint64, key []byte) error {
-	if blocks == 0 {
-		return fmt.Errorf("palermo: Blocks must be > 0")
-	}
-	if blocks > MaxBlocks {
-		return fmt.Errorf("palermo: Blocks %d exceeds the maximum capacity of %d blocks", blocks, uint64(MaxBlocks))
-	}
-	switch len(key) {
-	case 16, 24, 32:
-		return nil
-	default:
-		return fmt.Errorf("palermo: Key must be 16, 24, or 32 bytes (AES-128/192/256), got %d", len(key))
-	}
-}
 
 // Block-state backend selectors for StoreConfig/ShardedStoreConfig.
 const (
@@ -86,11 +66,7 @@ type StoreConfig struct {
 	// Engine selects the storage engine: BackendMemory (default),
 	// BackendWAL, or BackendBlockfile. The durable engines require Dir.
 	Engine string
-	// Backend is the original name of the Engine knob, kept as an alias
-	// so existing callers and configs keep working. Setting both to
-	// different values is an error.
-	Backend string
-	// Dir is the durable store directory (BackendWAL only). Reopening a
+	// Dir is the durable store directory (durable engines only). Reopening a
 	// populated Dir recovers the persisted state; the directory's manifest
 	// pins Blocks (and shard count) so a mismatched reopen fails loudly.
 	Dir string
@@ -132,7 +108,7 @@ type StoreConfig struct {
 	CryptoWorkers int
 	// SlotCacheBytes budgets the blockfile engine's slot-level read cache:
 	// recently read 512-byte sealed slots stay resident (CLOCK eviction)
-	// so repeated tree-top and posmap-group reads skip the pread. Gets are
+	// so repeated reads of hot slots skip the pread. Gets are
 	// served from the cache only when the whole vectored run is resident;
 	// writes invalidate their slots and checkpoints clear the cache, so
 	// served bytes are identical at every budget (DESIGN.md §14). 0 (the
@@ -150,131 +126,6 @@ const MaxPipelineDepth = 64
 // clamps to its actual depth), so larger values are configuration typos.
 const MaxTreeTopLevels = 24
 
-// validatePipelineDepth rejects nonsensical depths; 0 means default.
-func validatePipelineDepth(d int) error {
-	if d < 0 || d > MaxPipelineDepth {
-		return fmt.Errorf("palermo: PipelineDepth must be in [0, %d], got %d", MaxPipelineDepth, d)
-	}
-	return nil
-}
-
-// validateTreeTopLevels rejects nonsensical cache pins; 0 means default.
-func validateTreeTopLevels(k int) error {
-	if k < 0 || k > MaxTreeTopLevels {
-		return fmt.Errorf("palermo: TreeTopLevels must be in [0, %d], got %d", MaxTreeTopLevels, k)
-	}
-	return nil
-}
-
-// validateCryptoWorkers rejects negative pool sizes; 0 means inline.
-// (The pool itself caps the count at GOMAXPROCS.)
-func validateCryptoWorkers(n int) error {
-	if n < 0 {
-		return fmt.Errorf("palermo: CryptoWorkers must be >= 0, got %d", n)
-	}
-	return nil
-}
-
-// MaxPrefetchDepth caps the deep planner's look-ahead for both sharded
-// flavors: beyond a few dozen predicted batches the announce window — not
-// the horizon — is the binding resource, so larger values are typos.
-const MaxPrefetchDepth = 64
-
-// validatePrefetchDepth rejects nonsensical look-aheads; 0 means default.
-func validatePrefetchDepth(d int) error {
-	if d < 0 || d > MaxPrefetchDepth {
-		return fmt.Errorf("palermo: PrefetchDepth must be in [0, %d], got %d", MaxPrefetchDepth, d)
-	}
-	return nil
-}
-
-// validateSlotCacheBytes rejects negative budgets and budgets on engines
-// without a slot cache; 0 means off.
-func validateSlotCacheBytes(n int, engine string) error {
-	if n < 0 {
-		return fmt.Errorf("palermo: SlotCacheBytes must be >= 0, got %d", n)
-	}
-	if n > 0 && engine != BackendBlockfile {
-		return fmt.Errorf("palermo: SlotCacheBytes requires Engine %q, got %q", BackendBlockfile, engine)
-	}
-	return nil
-}
-
-// resolveEngine folds the Engine/Backend alias pair into one selector:
-// Engine wins when only it is set, Backend keeps old callers working,
-// and a contradictory pair is refused rather than silently picking one.
-func resolveEngine(engine, backendAlias string) (string, error) {
-	switch {
-	case engine == "":
-		return backendAlias, nil
-	case backendAlias == "" || backendAlias == engine:
-		return engine, nil
-	default:
-		return "", fmt.Errorf("palermo: Engine %q and Backend %q disagree (they are aliases; set one)", engine, backendAlias)
-	}
-}
-
-func (c *StoreConfig) defaults() {
-	if c.Blocks == 0 {
-		c.Blocks = 1 << 20
-	}
-	if c.Key == nil {
-		c.Key = []byte("palermo-demo-key")
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.Backend == "" {
-		c.Backend = BackendMemory
-	}
-	if c.PipelineDepth == 0 {
-		c.PipelineDepth = 2
-	}
-}
-
-// openBackends validates the engine selection and opens one backend per
-// shard (nil entries select the in-memory default). For the durable
-// engines the directory gains a manifest pinning (blocks, shards,
-// engine) and one sub-directory per shard, so a Store and a 1-shard
-// ShardedStore are interchangeable over the same Dir.
-func openBackends(kind, dir string, blocks uint64, shards, groupCommit, pipelineDepth, slotCacheBytes int) ([]backend.Backend, error) {
-	switch kind {
-	case BackendMemory:
-		if dir != "" {
-			return nil, fmt.Errorf("palermo: Dir is set but Engine is %q (did you mean Engine: palermo.BackendWAL or palermo.BackendBlockfile?)", kind)
-		}
-		return make([]backend.Backend, shards), nil
-	case BackendWAL, BackendBlockfile:
-		if dir == "" {
-			return nil, fmt.Errorf("palermo: Engine %q requires Dir", kind)
-		}
-		if err := wal.EnsureManifest(dir, wal.Manifest{Version: wal.ManifestVersion, Blocks: blocks, Shards: shards, Engine: kind}); err != nil {
-			return nil, fmt.Errorf("palermo: %w", err)
-		}
-		bes := make([]backend.Backend, shards)
-		for i := range bes {
-			var be backend.Backend
-			var err error
-			sdir := filepath.Join(dir, fmt.Sprintf("shard-%04d", i))
-			if kind == BackendBlockfile {
-				be, err = blockfile.Open(sdir, blockfile.Options{GroupCommit: groupCommit, CacheBytes: slotCacheBytes})
-			} else {
-				be, err = wal.Open(sdir, wal.Options{GroupCommit: groupCommit, CommitDepth: pipelineDepth})
-			}
-			if err != nil {
-				for _, open := range bes[:i] {
-					open.Close()
-				}
-				return nil, fmt.Errorf("palermo: %w", err)
-			}
-			bes[i] = be
-		}
-		return bes, nil
-	default:
-		return nil, fmt.Errorf("palermo: unknown Engine %q (want %q, %q, or %q)", kind, BackendMemory, BackendWAL, BackendBlockfile)
-	}
-}
-
 // DetectEngine reports the storage engine recorded in dir's manifest,
 // defaulting to BackendWAL when the directory has no readable manifest
 // yet (matching the historical meaning of "a durable directory"). Tools
@@ -285,17 +136,6 @@ func DetectEngine(dir string) string {
 		return m.Engine
 	}
 	return BackendWAL
-}
-
-// applyCheckpointEvery maps the config knob onto the shard: 0 keeps the
-// shard default, negative disables periodic checkpoints.
-func applyCheckpointEvery(sh *shard.Shard, every int) {
-	switch {
-	case every < 0:
-		sh.SetCheckpointEvery(0)
-	case every > 0:
-		sh.SetCheckpointEvery(uint64(every))
-	}
 }
 
 // Store is an oblivious 64-byte-block store: the 1-shard special case of
@@ -309,50 +149,30 @@ type Store struct {
 	closeErr error // first Close outcome, re-returned on later calls
 }
 
-// NewStore builds a store. Invalid configurations (zero or overflowing
-// capacity after defaulting, bad key lengths, backend/Dir mismatches) are
-// rejected here rather than surfacing as a deep engine failure. With
-// Backend: BackendWAL, a populated Dir is recovered: checkpointed state
-// restores exactly and any post-checkpoint log tail is replayed.
+// NewStore builds a store: the configuration is validated and the shard
+// built exactly as for a 1-shard ShardedStore, except that the shard uses
+// Seed unchanged. Invalid configurations (zero or overflowing capacity
+// after defaulting, bad key lengths, engine/Dir mismatches) are rejected
+// here rather than surfacing as a deep engine failure. With a durable
+// Engine, a populated Dir is recovered: checkpointed state restores
+// exactly and any post-checkpoint log tail is replayed.
 func NewStore(cfg StoreConfig) (*Store, error) {
-	if err := validatePipelineDepth(cfg.PipelineDepth); err != nil {
-		return nil, err
+	c := ShardedStoreConfig{
+		Blocks: cfg.Blocks, Shards: 1, Key: cfg.Key, Seed: cfg.Seed,
+		Engine: cfg.Engine, Dir: cfg.Dir,
+		CheckpointEvery: cfg.CheckpointEvery, GroupCommit: cfg.GroupCommit,
+		PipelineDepth: cfg.PipelineDepth, TreeTopLevels: cfg.TreeTopLevels,
+		CryptoWorkers: cfg.CryptoWorkers, SlotCacheBytes: cfg.SlotCacheBytes,
 	}
-	if err := validateTreeTopLevels(cfg.TreeTopLevels); err != nil {
-		return nil, err
-	}
-	if err := validateCryptoWorkers(cfg.CryptoWorkers); err != nil {
-		return nil, err
-	}
-	engine, err := resolveEngine(cfg.Engine, cfg.Backend)
+	router, err := c.validate()
 	if err != nil {
 		return nil, err
 	}
-	cfg.Backend = engine
-	cfg.Engine = ""
-	cfg.defaults()
-	if err := validateStoreParams(cfg.Blocks, cfg.Key); err != nil {
-		return nil, err
-	}
-	if err := validateSlotCacheBytes(cfg.SlotCacheBytes, cfg.Backend); err != nil {
-		return nil, err
-	}
-	bes, err := openBackends(cfg.Backend, cfg.Dir, cfg.Blocks, 1, cfg.GroupCommit, cfg.PipelineDepth, cfg.SlotCacheBytes)
+	sh, be, err := c.openShard(router, 0, c.Seed, nil)
 	if err != nil {
-		return nil, err
-	}
-	sh, err := shard.New(0, 1, cfg.Blocks, cfg.Key, cfg.Seed, bes[0])
-	if err != nil {
-		if bes[0] != nil {
-			bes[0].Close()
-		}
 		return nil, fmt.Errorf("palermo: %w", err)
 	}
-	applyCheckpointEvery(sh, cfg.CheckpointEvery)
-	sh.SetTreeTopLevels(cfg.TreeTopLevels)
-	sh.EnablePipeline(cfg.PipelineDepth)
-	sh.EnableCryptoPool(cfg.CryptoWorkers)
-	return &Store{sh: sh, be: bes[0], blocks: cfg.Blocks}, nil
+	return &Store{sh: sh, be: be, blocks: c.Blocks}, nil
 }
 
 // Blocks returns the capacity in blocks.
@@ -426,19 +246,35 @@ type TrafficReport struct {
 
 // Traffic returns the accumulated report.
 func (s *Store) Traffic() TrafficReport {
-	c := s.sh.Snapshot()
-	rep := TrafficReport{
-		Reads: c.Reads, Writes: c.Writes,
-		DRAMReads: c.DRAMReads, DRAMWrites: c.DRAMWrites,
-		StashPeak:      c.StashPeak,
-		TreeTopHits:    c.TreeTopHits,
-		PrefetchIssued: c.PrefetchIssued, PrefetchUsed: c.PrefetchUsed, PrefetchStale: c.PrefetchStale,
+	var rep TrafficReport
+	rep.add(s.sh.Snapshot(), s.be)
+	return rep.amplified()
+}
+
+// add folds one shard's counters and its backend's slot-cache telemetry
+// into the report.
+func (r *TrafficReport) add(c shard.Counters, be backend.Backend) {
+	r.Reads += c.Reads
+	r.Writes += c.Writes
+	r.DRAMReads += c.DRAMReads
+	r.DRAMWrites += c.DRAMWrites
+	r.TreeTopHits += c.TreeTopHits
+	r.PrefetchIssued += c.PrefetchIssued
+	r.PrefetchUsed += c.PrefetchUsed
+	r.PrefetchStale += c.PrefetchStale
+	r.StashPeak = max(r.StashPeak, c.StashPeak)
+	h, m := slotCacheStats(be)
+	r.SlotCacheHits += h
+	r.SlotCacheMisses += m
+}
+
+// amplified returns the report with AmplificationFactor computed from the
+// summed counters.
+func (r TrafficReport) amplified() TrafficReport {
+	if ops := r.Reads + r.Writes; ops > 0 {
+		r.AmplificationFactor = float64(r.DRAMReads+r.DRAMWrites) / float64(ops)
 	}
-	if ops := c.Reads + c.Writes; ops > 0 {
-		rep.AmplificationFactor = float64(c.DRAMReads+c.DRAMWrites) / float64(ops)
-	}
-	rep.SlotCacheHits, rep.SlotCacheMisses = slotCacheStats(s.be)
-	return rep
+	return r
 }
 
 // slotCacheStats duck-types a backend's slot-cache telemetry (the

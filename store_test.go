@@ -138,9 +138,9 @@ func TestStoreConfigValidation(t *testing.T) {
 		{"Key short", StoreConfig{Blocks: 1 << 10, Key: []byte("bad")}},
 		{"Key off-size", StoreConfig{Blocks: 1 << 10, Key: make([]byte, 17)}},
 		{"Key oversize", StoreConfig{Blocks: 1 << 10, Key: make([]byte, 64)}},
-		{"Backend unknown", StoreConfig{Blocks: 1 << 10, Backend: "etcd"}},
-		{"Backend memory with Dir", StoreConfig{Blocks: 1 << 10, Backend: BackendMemory, Dir: t.TempDir()}},
-		{"Backend wal without Dir", StoreConfig{Blocks: 1 << 10, Backend: BackendWAL}},
+		{"Backend unknown", StoreConfig{Blocks: 1 << 10, Engine: "etcd"}},
+		{"Backend memory with Dir", StoreConfig{Blocks: 1 << 10, Engine: BackendMemory, Dir: t.TempDir()}},
+		{"Backend wal without Dir", StoreConfig{Blocks: 1 << 10, Engine: BackendWAL}},
 		{"PipelineDepth negative", StoreConfig{Blocks: 1 << 10, PipelineDepth: -1}},
 		{"PipelineDepth beyond cap", StoreConfig{Blocks: 1 << 10, PipelineDepth: MaxPipelineDepth + 1}},
 	}
@@ -162,12 +162,12 @@ func TestStoreConfigValidation(t *testing.T) {
 		{"Key AES-256", StoreConfig{Blocks: 1 << 10, Key: make([]byte, 32)}},
 		{"Blocks zero defaults", StoreConfig{}},
 		{"Seed zero defaults", StoreConfig{Blocks: 1 << 10, Seed: 0}},
-		{"CheckpointEvery negative disables", StoreConfig{Blocks: 1 << 10, Backend: BackendWAL, Dir: t.TempDir(), CheckpointEvery: -1}},
-		{"GroupCommit negative defaults", StoreConfig{Blocks: 1 << 10, Backend: BackendWAL, Dir: t.TempDir(), GroupCommit: -1}},
-		{"GroupCommit synchronous", StoreConfig{Blocks: 1 << 10, Backend: BackendWAL, Dir: t.TempDir(), GroupCommit: 1}},
+		{"CheckpointEvery negative disables", StoreConfig{Blocks: 1 << 10, Engine: BackendWAL, Dir: t.TempDir(), CheckpointEvery: -1}},
+		{"GroupCommit negative defaults", StoreConfig{Blocks: 1 << 10, Engine: BackendWAL, Dir: t.TempDir(), GroupCommit: -1}},
+		{"GroupCommit synchronous", StoreConfig{Blocks: 1 << 10, Engine: BackendWAL, Dir: t.TempDir(), GroupCommit: 1}},
 		{"PipelineDepth serial", StoreConfig{Blocks: 1 << 10, PipelineDepth: 1}},
 		{"PipelineDepth max", StoreConfig{Blocks: 1 << 10, PipelineDepth: MaxPipelineDepth}},
-		{"PipelineDepth durable serial", StoreConfig{Blocks: 1 << 10, Backend: BackendWAL, Dir: t.TempDir(), PipelineDepth: 1}},
+		{"PipelineDepth durable serial", StoreConfig{Blocks: 1 << 10, Engine: BackendWAL, Dir: t.TempDir(), PipelineDepth: 1}},
 	}
 	for _, tc := range accepted {
 		st, err := NewStore(tc.cfg)
