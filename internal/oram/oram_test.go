@@ -1,6 +1,7 @@
 package oram
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -504,5 +505,35 @@ func TestHierarchyIndexConsistency(t *testing.T) {
 		if g/16 != i1 || i1/16 != i2 {
 			t.Fatalf("pa %d: recursion indices %d/%d inconsistent", pa, i1, i2)
 		}
+	}
+}
+
+// TestRingLeafLimit: leaves are 4-byte posmap entries, so NewRing accepts
+// a tree of exactly 2^32 leaves (2^36 lines of Z=16 buckets) and draws
+// leaves across all of it, and refuses one more line, whose tree would
+// need 2^33 leaves.
+func TestRingLeafLimit(t *testing.T) {
+	cfg := PalermoRingConfig()
+	cfg.NLines = 1 << 36
+	cfg.CountTraffic = true
+	e, err := NewRing(cfg)
+	if err != nil {
+		t.Fatalf("2^36 lines rejected: %v", err)
+	}
+	if got := e.Space(0).Geo.NumLeaves(); got != 1<<32 {
+		t.Fatalf("data tree has %d leaves, want 2^32", got)
+	}
+	high := false
+	for pa := uint64(0); pa < 64; pa++ {
+		if e.Access(pa<<30, true, pa).DataLeaf >= 1<<31 {
+			high = true
+		}
+	}
+	if !high {
+		t.Fatal("64 first-touch leaves all fell in the lower half of the 2^32 leaves: draws do not span the tree")
+	}
+	cfg.NLines++
+	if _, err := NewRing(cfg); err == nil || !strings.Contains(err.Error(), "2^32") {
+		t.Fatalf("2^36+1 lines: err = %v, want the 2^32-leaf refusal", err)
 	}
 }

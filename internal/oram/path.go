@@ -127,7 +127,9 @@ func NewPath(cfg PathConfig) (*Path, error) {
 
 	e := &Path{cfg: cfg, r: r, pm: pm}
 	for l, g := range geos {
-		pm.Attach(l, g.NumLeaves())
+		if err := pm.Attach(l, g.NumLeaves()); err != nil {
+			return nil, fmt.Errorf("oram: %d lines of Z=%d buckets: %w", cfg.NLines, cfg.Z, err)
+		}
 		e.spaces = append(e.spaces, NewSpace(l, g, cfg.TreeTopBytes, r))
 	}
 	return e, nil
@@ -313,7 +315,7 @@ func (e *Path) accessLevelLeaf(l int, want otree.BlockID, leaf uint64, storeWrit
 	}
 	sp := e.spaces[l]
 	sp.Accesses++
-	la := LevelAccess{Level: l}
+	la := LevelAccess{Level: l, Phases: make([]Phase, 0, 2)} // RP, WB
 	path := sp.path(leaf)
 
 	// RP: read every slot of every bucket on the path (plus siblings for
@@ -362,8 +364,8 @@ func (e *Path) accessLevelLeaf(l int, want otree.BlockID, leaf uint64, storeWrit
 	wb := Phase{Kind: PhaseWB}
 	writeBack := func(n uint64) {
 		lvl := sp.Geo.NodeLevel(n)
-		pushed := sp.Stash.EvictIntoNode(sp.Geo, n, sp.Geo.Levels[lvl].Z)
-		sp.Store.WriteBucket(n, pushed)
+		sp.evictBuf = sp.Stash.EvictIntoNode(sp.evictBuf, sp.Geo, n, sp.Geo.Levels[lvl].Z)
+		sp.Store.WriteBucket(n, sp.evictBuf)
 		sp.emitBucketWrite(&wb, lvl, n, sp.Geo.Levels[lvl].Z)
 	}
 	for i := len(path) - 1; i >= 0; i-- {

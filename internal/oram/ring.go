@@ -138,7 +138,9 @@ func NewRing(cfg RingConfig) (*Ring, error) {
 
 	e := &Ring{cfg: cfg, r: r, pm: pm}
 	for l, g := range geos {
-		pm.Attach(l, g.NumLeaves())
+		if err := pm.Attach(l, g.NumLeaves()); err != nil {
+			return nil, fmt.Errorf("oram: %d lines of Z=%d buckets: %w", cfg.NLines, cfg.Z, err)
+		}
 		sp := NewSpace(l, g, cfg.TreeTopBytes, r)
 		if cfg.TreeTopLevels > 0 {
 			sp.SetTopLevels(cfg.TreeTopLevels)
@@ -271,7 +273,8 @@ func (e *Ring) accessLevelLeaf(l int, want otree.BlockID, leaf uint64, storeWrit
 	sp := e.spaces[l]
 	sp.Accesses++
 	evict := sp.Accesses%uint64(e.cfg.A) == 0
-	la := LevelAccess{Level: l, Evict: evict}
+	// LM, ER, RP and EP at most: the phase list never grows.
+	la := LevelAccess{Level: l, Evict: evict, Phases: make([]Phase, 0, 4)}
 	leafOf := func(id otree.BlockID) uint64 { return e.pm.Leaf(l, uint64(id)) }
 
 	path := sp.path(leaf)

@@ -31,7 +31,8 @@ type Space struct {
 	// or the backend). Bytes saved = 64 * TopHits.
 	TopHits uint64
 
-	pathBuf []uint64 // per-access path scratch (engine-per-goroutine rule)
+	pathBuf  []uint64           // per-access path scratch (engine-per-goroutine rule)
+	evictBuf []otree.BlockEntry // per-bucket eviction scratch, same rule
 }
 
 // NewSpace builds a space over the given geometry.
@@ -167,8 +168,8 @@ func (sp *Space) resetNode(ph *Phase, node uint64, leaf uint64, leafOf func(otre
 	for _, e := range sp.Store.ResetPull(node) {
 		sp.Stash.Put(stash.Entry{ID: e.ID, Leaf: leafOf(e.ID), Val: e.Val})
 	}
-	push := sp.Stash.EvictInto(sp.Geo, leaf, lvl, spec.Z)
-	sp.Store.WriteBucket(node, push)
+	sp.evictBuf = sp.Stash.EvictInto(sp.evictBuf, sp.Geo, leaf, lvl, spec.Z)
+	sp.Store.WriteBucket(node, sp.evictBuf)
 
 	// Pull traffic is padded to Z slots for obliviousness; push traffic
 	// rewrites the whole bucket with fresh encryption.
@@ -192,8 +193,8 @@ func (sp *Space) evictPath(ph *Phase, leafOf func(otree.BlockID) uint64) uint64 
 	}
 	for l := sp.Geo.Depth; l >= 0; l-- {
 		node := sp.Geo.NodeAt(g, l)
-		push := sp.Stash.EvictInto(sp.Geo, g, l, sp.Geo.Levels[l].Z)
-		sp.Store.WriteBucket(node, push)
+		sp.evictBuf = sp.Stash.EvictInto(sp.evictBuf, sp.Geo, g, l, sp.Geo.Levels[l].Z)
+		sp.Store.WriteBucket(node, sp.evictBuf)
 		sp.emitBucketWrite(ph, l, node, sp.Geo.Levels[l].Slots())
 		sp.emitMetaWrite(ph, l, node)
 	}

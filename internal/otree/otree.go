@@ -9,7 +9,10 @@
 // path from its mapped leaf to the root, or in the stash.
 package otree
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // BlockID identifies a logical block within one protected memory space.
 // The dummy marker is ^BlockID(0).
@@ -140,13 +143,7 @@ func (g Geometry) NumNodes() uint64 { return (1 << (g.Depth + 1)) - 1 }
 func (g Geometry) Footprint() uint64 { return g.levelByteBase[g.Depth+1] }
 
 // NodeLevel returns the tree level of a node in heap numbering.
-func (g Geometry) NodeLevel(node uint64) int {
-	l := 0
-	for node >= (uint64(1)<<(l+1))-1 {
-		l++
-	}
-	return l
-}
+func (g Geometry) NodeLevel(node uint64) int { return bits.Len64(node+1) - 1 }
 
 // NodeAt returns the node index at the given level along the path to leaf.
 func (g Geometry) NodeAt(leaf uint64, level int) uint64 {

@@ -1,6 +1,7 @@
 package otree
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -297,5 +298,115 @@ func TestReadSlotPresenceProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSelectBitMatchesScan checks the broadword select against a bit-by-bit
+// scan on random words and every valid rank.
+func TestSelectBitMatchesScan(t *testing.T) {
+	r := rng.New(5)
+	words := []uint64{1, 1 << 63, ^uint64(0), 0x8000000000000001, 0x00FF00FF00FF00FF}
+	for i := 0; i < 2000; i++ {
+		words = append(words, r.Uint64()&r.Uint64()|r.Uint64()&(1<<r.Uint64n(64)))
+	}
+	for _, x := range words {
+		k := 0
+		for pos := 0; pos < 64; pos++ {
+			if x&(1<<pos) == 0 {
+				continue
+			}
+			if got := selectBit(x, k); got != pos {
+				t.Fatalf("selectBit(%#x, %d) = %d, want %d", x, k, got, pos)
+			}
+			k++
+		}
+	}
+}
+
+// TestFreeSlotMatchesScan checks the word-level slot pick against the
+// offset-by-offset scan it replaced, for bucket widths below, at and above
+// one 64-bit word: the same RNG draw must select the same slot.
+func TestFreeSlotMatchesScan(t *testing.T) {
+	for _, slots := range []int{9, 43, 64, 65, 130} {
+		g := Custom([]LevelSpec{{Z: 1, S: slots - 1}}, 0, 1<<40)
+		a := NewStore(g, rng.New(uint64(slots)))
+		ref := rng.New(uint64(slots))
+		used := make([]bool, slots)
+		for touch := 0; touch < slots; touch++ {
+			_, got, _ := a.ReadSlot(0, Dummy-1)
+			k := ref.Intn(slots - touch)
+			want := -1
+			for off := 0; off < slots; off++ {
+				if used[off] {
+					continue
+				}
+				if k == 0 {
+					want = off
+					break
+				}
+				k--
+			}
+			if got != want {
+				t.Fatalf("slots=%d touch %d: slot %d, want %d", slots, touch, got, want)
+			}
+			used[want] = true
+		}
+	}
+}
+
+// TestStoreStateRoundTripWide: buckets wider than one bitset word keep
+// their consumed offsets above 63 across State/Restore, and the restored
+// store picks the same slots for the same draws.
+func TestStoreStateRoundTripWide(t *testing.T) {
+	g := Custom([]LevelSpec{{Z: 4, S: 96}, {Z: 4, S: 96}}, 0, 1<<40)
+	a := NewStore(g, rng.New(8))
+	a.WriteBucket(1, []BlockEntry{{ID: 7, Val: 70}, {ID: 8, Val: 80}})
+	for i := 0; i < 90; i++ {
+		a.ReadSlot(1, Dummy-1)
+		a.ReadSlot(0, Dummy-1)
+	}
+	st := a.State()
+	b := NewStore(g, rng.New(8))
+	if err := b.Restore(st); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.State(); !reflect.DeepEqual(got, st) {
+		t.Fatal("State/Restore round trip diverged")
+	}
+	// Same RNG position on both sides: the remaining picks must agree.
+	b.r = rng.New(1)
+	a.r = rng.New(1)
+	for i := 0; i < 10; i++ {
+		_, sa, _ := a.ReadSlot(1, Dummy-1)
+		_, sb, _ := b.ReadSlot(1, Dummy-1)
+		if sa != sb {
+			t.Fatalf("pick %d: slot %d after restore, %d before", i, sb, sa)
+		}
+	}
+}
+
+// TestStoreRestoreRejectsMalformed: states that name nodes outside the
+// tree or out of order, overfill a bucket, or disagree with their own
+// bitsets are refused and leave the store as it was.
+func TestStoreRestoreRejectsMalformed(t *testing.T) {
+	g := Uniform(64, 4, 5, 0, 1<<40) // 31 nodes, 9 slots
+	s := NewStore(g, rng.New(1))
+	s.WriteBucket(3, []BlockEntry{{ID: 1}})
+	for name, st := range map[string]StoreState{
+		"node outside tree": {Nodes: []uint64{31}, Accessed: []uint32{0}, Counts: []uint32{0}},
+		"nodes unsorted":    {Nodes: []uint64{2, 1}, Accessed: []uint32{0, 0}, Counts: []uint32{0, 0}},
+		"over Z":            {Nodes: []uint64{0}, Accessed: []uint32{0}, Counts: []uint32{5}, IDs: make([]uint64, 5), Vals: make([]uint64, 5)},
+		"ids short":         {Nodes: []uint64{0}, Accessed: []uint32{0}, Counts: []uint32{2}, IDs: make([]uint64, 1), Vals: make([]uint64, 1)},
+		"bitset count":      {Nodes: []uint64{0}, Accessed: []uint32{2}, Counts: []uint32{0}, Used: []uint64{1}},
+		"bitset past slots": {Nodes: []uint64{0}, Accessed: []uint32{1}, Counts: []uint32{0}, Used: []uint64{1 << 9}},
+		"bitset missing":    {Nodes: []uint64{0}, Accessed: []uint32{1}, Counts: []uint32{0}},
+		"arrays disagree":   {Nodes: []uint64{0}, Accessed: []uint32{0}},
+	} {
+		if err := s.Restore(st); err == nil {
+			t.Fatalf("%s: accepted", name)
+		}
+		if s.Occupancy(3) != 1 {
+			t.Fatalf("%s: refused restore changed the store", name)
+		}
 	}
 }

@@ -18,7 +18,7 @@ func TestResidentTopParity(t *testing.T) {
 	b := NewStore(g, rng.New(7))
 	b.EnableResidentTop(4)
 
-	drive := func(s *Store) []BucketState {
+	drive := func(s *Store) StoreState {
 		for leaf := uint64(0); leaf < g.NumLeaves(); leaf += 3 {
 			for l := 0; l <= g.Depth; l++ {
 				node := g.NodeAt(leaf, l)
@@ -36,7 +36,7 @@ func TestResidentTopParity(t *testing.T) {
 	}
 	sa, sb := drive(a), drive(b)
 	if !reflect.DeepEqual(sa, sb) {
-		t.Fatalf("State diverged between map and resident-top representations: %d vs %d buckets", len(sa), len(sb))
+		t.Fatalf("State diverged between map and resident-top representations: %d vs %d buckets", len(sa.Nodes), len(sb.Nodes))
 	}
 	if a.Materialized() != b.Materialized() {
 		t.Fatalf("Materialized diverged: %d vs %d", a.Materialized(), b.Materialized())
@@ -45,7 +45,9 @@ func TestResidentTopParity(t *testing.T) {
 	// Restore into a resident-top store must round-trip through State.
 	c := NewStore(g, rng.New(7))
 	c.EnableResidentTop(4)
-	c.Restore(sa)
+	if err := c.Restore(sa); err != nil {
+		t.Fatal(err)
+	}
 	if got := c.State(); !reflect.DeepEqual(got, sa) {
 		t.Fatalf("State/Restore round trip diverged with resident top enabled")
 	}

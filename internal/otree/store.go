@@ -2,8 +2,10 @@ package otree
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
+	"palermo/internal/bitpack"
 	"palermo/internal/rng"
 )
 
@@ -16,26 +18,42 @@ type BlockEntry struct {
 // Bucket is the functional state of one tree node. A zero-value bucket is a
 // freshly reset, empty bucket (all slots valid dummies). Slot permutation is
 // tracked as a bitset of consumed slot offsets: RingORAM invalidates the
-// touched slot on every access and never re-reads it before a reset.
+// touched slot on every access and never re-reads it before a reset. The
+// first 64 offsets live in the struct itself, so a bucket of up to 64 slots
+// is one heap object besides its block array.
 type Bucket struct {
 	Blocks   []BlockEntry // valid real blocks currently stored
-	used     []uint64     // bitset of slot offsets consumed since the last reset
 	Accessed int          // touches since the last reset
+	used     uint64       // consumed slot offsets 0..63
+	usedHi   []uint64     // consumed offsets 64 and up, one word per 64
 }
 
-func (b *Bucket) usedBit(off int) bool { return b.used[off/64]&(1<<(off%64)) != 0 }
+// usedWord returns word w (offsets 64w..64w+63) of the consumed-slot bitset.
+func (b *Bucket) usedWord(w int) uint64 {
+	if w == 0 {
+		return b.used
+	}
+	if w-1 < len(b.usedHi) {
+		return b.usedHi[w-1]
+	}
+	return 0
+}
 
 func (b *Bucket) setUsed(off int) {
-	for len(b.used) <= off/64 {
-		b.used = append(b.used, 0)
+	if off < 64 {
+		b.used |= 1 << off
+		return
 	}
-	b.used[off/64] |= 1 << (off % 64)
+	w := off/64 - 1
+	for len(b.usedHi) <= w {
+		b.usedHi = append(b.usedHi, 0)
+	}
+	b.usedHi[w] |= 1 << (off % 64)
 }
 
 func (b *Bucket) clearUsed() {
-	for i := range b.used {
-		b.used[i] = 0
-	}
+	b.used = 0
+	clear(b.usedHi)
 	b.Accessed = 0
 }
 
@@ -151,30 +169,52 @@ func (b *Bucket) find(id BlockID) int {
 // Contains reports whether the bucket currently holds id as a valid block.
 func (b *Bucket) Contains(id BlockID) bool { return b.find(id) >= 0 }
 
-// freeSlot picks an arbitrary unconsumed slot offset (the functional model
-// does not track the real permutation; any distinct offset is equivalent for
-// timing and the permutation is re-randomized on reset).
+// freeSlot picks a uniformly random unconsumed slot offset: the k-th
+// unused offset for one RNG draw k, found a 64-slot word at a time (the
+// functional model does not track the real permutation; any distinct
+// offset is equivalent for timing and the permutation is re-randomized on
+// reset).
 func (s *Store) freeSlot(b *Bucket, slots int) int {
-	// Pick a random unconsumed offset to model the random permutation's
-	// effect on DRAM addresses within the bucket.
 	free := slots - b.Accessed
 	if free <= 0 {
 		panic("otree: ReadSlot on exhausted bucket (protocol must reset first)")
 	}
-	for len(b.used) <= (slots-1)/64 {
-		b.used = append(b.used, 0)
-	}
+	words := (slots + 63) / 64
 	k := s.r.Intn(free)
-	for off := 0; off < slots; off++ {
-		if b.usedBit(off) {
+	for w := 0; w < words; w++ {
+		avail := ^b.usedWord(w)
+		if rem := slots - w*64; rem < 64 {
+			avail &= 1<<rem - 1
+		}
+		if c := bits.OnesCount64(avail); k >= c {
+			k -= c
 			continue
 		}
-		if k == 0 {
-			return off
-		}
-		k--
+		return w*64 + selectBit(avail, k)
 	}
 	panic("unreachable")
+}
+
+// selectBit returns the position of the k-th (0-based) set bit of x, which
+// must have more than k set bits. It is the broadword select: per-byte
+// popcounts, their prefix sums by one multiply, a lane-parallel compare
+// against k to find the byte holding the bit, then a short scan inside
+// that byte — no data-dependent branch on the 64-bit word.
+func selectBit(x uint64, k int) int {
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	c := x - (x>>1)&0x5555555555555555
+	c = c&0x3333333333333333 + (c>>2)&0x3333333333333333
+	c = (c + c>>4) & 0x0F0F0F0F0F0F0F0F
+	prefix := c * ones // byte i: set bits in bytes 0..i (at most 64, so lanes never carry)
+	// Lane i's high bit survives iff prefix_i <= k; prefix is monotone, so
+	// the count of such lanes is the index of the byte holding the bit.
+	idx := bits.OnesCount64(((uint64(k)*ones | highs) - prefix) & highs)
+	k -= int((prefix << 8 >> (8 * idx)) & 0xFF)
+	b := uint8(x >> (8 * idx))
+	for ; k > 0; k-- {
+		b &= b - 1
+	}
+	return 8*idx + bits.TrailingZeros8(b)
 }
 
 // ReadSlot performs RingORAM's ReadBucket: it consumes exactly one slot of
@@ -212,11 +252,13 @@ func (s *Store) NeedsReset(node uint64, margin int) bool {
 
 // ResetPull removes and returns all valid real blocks from node, modelling
 // ResetBucket's pull step (the DRAM traffic is padded to Z reads by the
-// caller for obliviousness). The bucket's access state is cleared.
+// caller for obliviousness). The bucket's access state is cleared. The
+// returned slice shares the bucket's storage, which the bucket keeps for
+// its next WriteBucket: it is valid only until node is written again.
 func (s *Store) ResetPull(node uint64) []BlockEntry {
 	b := s.Bucket(node)
 	blocks := b.Blocks
-	b.Blocks = nil
+	b.Blocks = b.Blocks[:0]
 	b.clearUsed()
 	return blocks
 }
@@ -233,58 +275,151 @@ func (s *Store) WriteBucket(node uint64, blocks []BlockEntry) {
 	b.clearUsed()
 }
 
-// BucketState is the serializable form of one materialized bucket, used by
-// durable-store checkpoints. Used mirrors the consumed-slot bitset.
-type BucketState struct {
-	Node     uint64
-	Blocks   []BlockEntry
-	Used     []uint64
-	Accessed int
+// StoreState is the flat checkpoint form of a Store: one entry per
+// materialized bucket in ascending node order, held in parallel arrays
+// instead of one struct per bucket, so encoding it is a handful of slice
+// writes and the encoded bytes are a function of the state alone.
+type StoreState struct {
+	Nodes    bitpack.Uint64s // materialized buckets, ascending
+	Accessed bitpack.Uint32s // per bucket: touches since its last reset
+	Counts   bitpack.Uint32s // per bucket: valid real blocks
+	IDs      bitpack.Uint64s // the buckets' real blocks, concatenated in node order
+	Vals     bitpack.Uint64s
+	// Used holds the consumed-slot bitset of every bucket with
+	// Accessed > 0, in node order, ceil(slots/64) words each; a bucket's
+	// set bits number exactly its Accessed, so the others need none.
+	Used bitpack.Uint64s
 }
 
-// State exports every materialized bucket, sorted by node id so the
-// checkpoint layout is deterministic. Slices are copied.
-func (s *Store) State() []BucketState {
-	out := make([]BucketState, 0, s.Materialized())
-	export := func(node uint64, b *Bucket) {
-		out = append(out, BucketState{
-			Node:     node,
-			Blocks:   append([]BlockEntry(nil), b.Blocks...),
-			Used:     append([]uint64(nil), b.used...),
-			Accessed: b.Accessed,
-		})
-	}
+// usedWords is the bitset length of a bucket at level lvl.
+func (s *Store) usedWords(lvl int) int { return (s.g.Levels[lvl].Slots() + 63) / 64 }
+
+// State exports every materialized bucket in flat form. The arrays are
+// fresh copies.
+func (s *Store) State() StoreState {
+	nodes := make([]uint64, 0, s.Materialized())
 	for node, b := range s.top {
 		if b != nil {
-			export(uint64(node), b)
+			nodes = append(nodes, uint64(node))
 		}
 	}
-	for node, b := range s.buckets {
-		export(node, b)
+	resident := len(nodes)
+	for node := range s.buckets {
+		nodes = append(nodes, node)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
-	return out
+	// Resident nodes precede every mapped node (EnableResidentTop moves
+	// the whole dense range out of the map), so sorting the tail sorts all.
+	slices.Sort(nodes[resident:])
+	st := StoreState{
+		Nodes:    nodes,
+		Accessed: make([]uint32, len(nodes)),
+		Counts:   make([]uint32, len(nodes)),
+	}
+	total := 0
+	for _, node := range nodes {
+		b, _ := s.peek(node)
+		total += len(b.Blocks)
+	}
+	st.IDs = make([]uint64, 0, total)
+	st.Vals = make([]uint64, 0, total)
+	for i, node := range nodes {
+		b, _ := s.peek(node)
+		st.Accessed[i] = uint32(b.Accessed)
+		st.Counts[i] = uint32(len(b.Blocks))
+		for _, e := range b.Blocks {
+			st.IDs = append(st.IDs, uint64(e.ID))
+			st.Vals = append(st.Vals, e.Val)
+		}
+		if b.Accessed > 0 {
+			for w := 0; w < s.usedWords(s.g.NodeLevel(node)); w++ {
+				st.Used = append(st.Used, b.usedWord(w))
+			}
+		}
+	}
+	return st
 }
 
-// Restore replaces the store's contents with a previously exported State.
-// A configured resident top is kept (and repopulated from the state).
-func (s *Store) Restore(bs []BucketState) {
-	s.buckets = make(map[uint64]*Bucket, len(bs))
+// Restore replaces the store's contents with a previously exported State,
+// after checking it describes a legal state of this tree; on error the
+// store is unchanged. A configured resident top is kept (and repopulated
+// from the state).
+func (s *Store) Restore(st StoreState) error {
+	n := len(st.Nodes)
+	if len(st.Accessed) != n || len(st.Counts) != n || len(st.IDs) != len(st.Vals) {
+		return fmt.Errorf("otree: checkpoint arrays disagree: %d nodes, %d accessed, %d counts, %d ids, %d vals",
+			n, len(st.Accessed), len(st.Counts), len(st.IDs), len(st.Vals))
+	}
+	blocks, used := 0, 0
+	for i, node := range st.Nodes {
+		if node >= s.g.NumNodes() || (i > 0 && node <= st.Nodes[i-1]) {
+			return fmt.Errorf("otree: checkpoint bucket %d: node %d out of order or outside tree of %d nodes",
+				i, node, s.g.NumNodes())
+		}
+		lvl := s.g.NodeLevel(node)
+		spec := s.g.Levels[lvl]
+		if int(st.Counts[i]) > spec.Z || int(st.Accessed[i]) > spec.Slots() {
+			return fmt.Errorf("otree: checkpoint node %d holds %d blocks after %d touches, level allows Z=%d of %d slots",
+				node, st.Counts[i], st.Accessed[i], spec.Z, spec.Slots())
+		}
+		blocks += int(st.Counts[i])
+		if st.Accessed[i] == 0 {
+			continue
+		}
+		words := s.usedWords(lvl)
+		if used+words > len(st.Used) {
+			return fmt.Errorf("otree: checkpoint consumed-slot bitsets end at node %d", node)
+		}
+		set := 0
+		for w, v := range st.Used[used : used+words] {
+			if rem := spec.Slots() - w*64; rem < 64 && v>>rem != 0 {
+				return fmt.Errorf("otree: checkpoint node %d consumed a slot beyond its %d", node, spec.Slots())
+			}
+			set += bits.OnesCount64(v)
+		}
+		if set != int(st.Accessed[i]) {
+			return fmt.Errorf("otree: checkpoint node %d has %d consumed slots, %d touches", node, set, st.Accessed[i])
+		}
+		used += words
+	}
+	if blocks != len(st.IDs) || used != len(st.Used) {
+		return fmt.Errorf("otree: checkpoint counts name %d blocks and %d bitset words, arrays hold %d and %d",
+			blocks, used, len(st.IDs), len(st.Used))
+	}
+
+	s.buckets = make(map[uint64]*Bucket, n)
 	for i := range s.top {
 		s.top[i] = nil
 	}
-	for _, st := range bs {
-		b := &Bucket{
-			Blocks:   append([]BlockEntry(nil), st.Blocks...),
-			used:     append([]uint64(nil), st.Used...),
-			Accessed: st.Accessed,
+	// One backing array each for buckets and entries; every bucket's
+	// slice is capped at its own length, so a later WriteBucket that grows
+	// one reallocates it alone.
+	bs := make([]Bucket, n)
+	entries := make([]BlockEntry, len(st.IDs))
+	for i := range entries {
+		entries[i] = BlockEntry{ID: BlockID(st.IDs[i]), Val: st.Vals[i]}
+	}
+	off, uoff := 0, 0
+	for i, node := range st.Nodes {
+		b := &bs[i]
+		c := int(st.Counts[i])
+		b.Blocks = entries[off : off+c : off+c]
+		off += c
+		b.Accessed = int(st.Accessed[i])
+		if b.Accessed > 0 {
+			w := s.usedWords(s.g.NodeLevel(node))
+			b.used = st.Used[uoff]
+			if w > 1 {
+				b.usedHi = append([]uint64(nil), st.Used[uoff+1:uoff+w]...)
+			}
+			uoff += w
 		}
-		if st.Node < uint64(len(s.top)) {
-			s.top[st.Node] = b
+		if node < uint64(len(s.top)) {
+			s.top[node] = b
 		} else {
-			s.buckets[st.Node] = b
+			s.buckets[node] = b
 		}
 	}
+	return nil
 }
 
 // Occupancy returns the number of valid real blocks in node (0 for

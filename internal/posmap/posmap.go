@@ -8,13 +8,23 @@
 // engines decide which tree accesses the *storage* of those assignments
 // costs. Mappings are materialized lazily with uniformly random initial
 // leaves, so full-scale spaces need memory proportional to the touched set.
+//
+// Each level's assignments live in a paged table (table.go): 4-byte leaves
+// in lazily allocated 64-entry pages, reached by index arithmetic through
+// lazily allocated pointer tables rather than by hashing.
 package posmap
 
 import (
 	"fmt"
 
+	"palermo/internal/bitpack"
 	"palermo/internal/rng"
 )
+
+// MaxLeaves is the largest tree a level may be attached to: leaves are
+// stored as 4-byte entries, so a tree with more than 2^32 leaves would have
+// its draws silently truncated onto a fraction of its paths.
+const MaxLeaves = 1 << 32
 
 // EntriesPerBlock is how many leaf entries one 64-byte posmap block holds
 // (4-byte entries, as in the paper's 2 GB PosMap for a 16 GB space).
@@ -34,7 +44,7 @@ type Hierarchy struct {
 	levels  int      // number of spaces with leaf assignments (incl. on-chip top)
 	blocks  []uint64 // logical block count per level
 	leaves  []uint64 // tree leaf count per level (set by Attach)
-	maps    []map[uint64]uint32
+	tables  []table
 	pending []map[uint64]int // reference-counted pending PAs (Palermo)
 	r       *rng.Rand
 }
@@ -51,11 +61,11 @@ func New(nDataBlocks uint64, posLevels int, r *rng.Rand) *Hierarchy {
 	n := nDataBlocks
 	for l := 0; l <= posLevels; l++ {
 		h.blocks = append(h.blocks, n)
-		h.maps = append(h.maps, make(map[uint64]uint32))
 		h.pending = append(h.pending, make(map[uint64]int))
 		n = (n + EntriesPerBlock - 1) / EntriesPerBlock
 	}
 	h.leaves = make([]uint64, posLevels+1)
+	h.tables = make([]table, posLevels+1)
 	return h
 }
 
@@ -67,10 +77,17 @@ func (h *Hierarchy) Levels() int { return h.levels }
 // Blocks returns the logical block count of level l.
 func (h *Hierarchy) Blocks(l int) uint64 { return h.blocks[l] }
 
-// Attach records the tree leaf count used for level l's assignments; must be
-// called before Leaf/Remap for that level.
-func (h *Hierarchy) Attach(l int, numLeaves uint64) {
+// Attach records the tree leaf count used for level l's assignments and
+// allocates the level's table directory; must be called before Leaf/Remap
+// for that level. A tree with more than MaxLeaves leaves is refused.
+func (h *Hierarchy) Attach(l int, numLeaves uint64) error {
+	if numLeaves == 0 || numLeaves > MaxLeaves {
+		return fmt.Errorf("posmap: level %d tree has %d leaves; leaves are 4-byte entries, so at most 2^32 are addressable",
+			l, numLeaves)
+	}
 	h.leaves[l] = numLeaves
+	h.tables[l] = newTable(h.blocks[l])
+	return nil
 }
 
 // Index returns the block index at posmap level l covering data block pa:
@@ -89,14 +106,14 @@ func (h *Hierarchy) Leaf(l int, idx uint64) uint64 {
 	if idx >= h.blocks[l] {
 		panic(fmt.Sprintf("posmap: level %d index %d out of range %d", l, idx, h.blocks[l]))
 	}
-	if leaf, ok := h.maps[l][idx]; ok {
-		return uint64(leaf)
-	}
 	if h.leaves[l] == 0 {
 		panic(fmt.Sprintf("posmap: level %d not attached", l))
 	}
+	if leaf, ok := h.tables[l].get(idx); ok {
+		return uint64(leaf)
+	}
 	leaf := uint32(h.r.Uint64n(h.leaves[l]))
-	h.maps[l][idx] = leaf
+	h.tables[l].put(idx, leaf)
 	return uint64(leaf)
 }
 
@@ -107,46 +124,43 @@ func (h *Hierarchy) Remap(l int, idx uint64) uint64 {
 		panic(fmt.Sprintf("posmap: level %d not attached", l))
 	}
 	leaf := uint32(h.r.Uint64n(h.leaves[l]))
-	h.maps[l][idx] = leaf
+	h.tables[l].put(idx, leaf)
 	return uint64(leaf)
 }
 
 // SetLeaf forces a specific assignment (PrORAM maps a whole prefetch group
 // to one leaf).
 func (h *Hierarchy) SetLeaf(l int, idx uint64, leaf uint64) {
-	h.maps[l][idx] = uint32(leaf)
+	h.tables[l].put(idx, uint32(leaf))
 }
 
-// State deep-copies the materialized leaf assignments of every level for a
-// durable-store checkpoint. Pending marks are transient protocol state and
-// are not captured; checkpoints run at quiescence.
-func (h *Hierarchy) State() []map[uint64]uint32 {
-	out := make([]map[uint64]uint32, h.levels)
-	for l, m := range h.maps {
-		cp := make(map[uint64]uint32, len(m))
-		for k, v := range m {
-			cp[k] = v
-		}
-		out[l] = cp
-	}
-	return out
+// LevelState is one level's materialized assignments in flat form, for
+// durable-store checkpoints: the table's allocated pages in ascending
+// order, each page's bitmap of assigned entries, and the assigned leaves
+// in index order.
+type LevelState struct {
+	Pages  bitpack.Uint64s // page numbers (index / 64), ascending
+	Set    bitpack.Uint64s // per page: bit i set iff entry 64*page+i is assigned
+	Leaves bitpack.Uint32s // one per set bit, in index order
 }
 
-// Restore replaces the leaf assignments with a previously exported State.
-func (h *Hierarchy) Restore(maps []map[uint64]uint32) error {
-	if len(maps) != h.levels {
-		return fmt.Errorf("posmap: checkpoint has %d levels, hierarchy has %d", len(maps), h.levels)
+// State exports level l's materialized leaf assignments. Pending marks are
+// transient protocol state and are not captured; checkpoints run at
+// quiescence.
+func (h *Hierarchy) State(l int) LevelState { return h.tables[l].state() }
+
+// Restore replaces level l's leaf assignments with a previously exported
+// State, after checking every entry lies inside the level and every leaf
+// inside its tree; on error the level is unchanged.
+func (h *Hierarchy) Restore(l int, st LevelState) error {
+	if h.leaves[l] == 0 {
+		return fmt.Errorf("posmap: level %d not attached", l)
 	}
-	for l, m := range maps {
-		cp := make(map[uint64]uint32, len(m))
-		for k, v := range m {
-			if k >= h.blocks[l] {
-				return fmt.Errorf("posmap: checkpoint level %d index %d out of range %d", l, k, h.blocks[l])
-			}
-			cp[k] = v
-		}
-		h.maps[l] = cp
+	t, err := restoreTable(h.blocks[l], h.leaves[l], st)
+	if err != nil {
+		return fmt.Errorf("posmap: checkpoint level %d: %w", l, err)
 	}
+	h.tables[l] = t
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package posmap
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -136,4 +137,91 @@ func TestUnattachedPanics(t *testing.T) {
 		}
 	}()
 	h.Leaf(0, 1)
+}
+
+// TestAttachRefusesOversizeTree: 4-byte entries address at most 2^32
+// leaves; a larger tree is refused instead of truncating its draws.
+func TestAttachRefusesOversizeTree(t *testing.T) {
+	h := New(1<<10, 0, rng.New(1))
+	if err := h.Attach(0, MaxLeaves); err != nil {
+		t.Fatalf("2^32 leaves refused: %v", err)
+	}
+	if err := h.Attach(0, MaxLeaves+1); err == nil {
+		t.Fatal("2^32+1 leaves accepted")
+	}
+}
+
+// TestTopLeafIsAssigned: at the 2^32-leaf limit every 32-bit value is a
+// leaf, including 2^32-1, so assignment cannot be an in-band sentinel. A
+// stored 2^32-1 must read back without a fresh draw.
+func TestTopLeafIsAssigned(t *testing.T) {
+	h := New(1<<10, 0, rng.New(1))
+	if err := h.Attach(0, MaxLeaves); err != nil {
+		t.Fatal(err)
+	}
+	h.SetLeaf(0, 3, MaxLeaves-1)
+	before := h.r.State()
+	if got := h.Leaf(0, 3); got != MaxLeaves-1 {
+		t.Fatalf("Leaf = %d, want %d", got, uint64(MaxLeaves-1))
+	}
+	if h.r.State() != before {
+		t.Fatal("reading an assigned entry drew from the RNG")
+	}
+}
+
+// TestStateRestoreRoundTrip: a level's flat state restores to a table that
+// answers every lookup alike (without RNG draws) and exports the same
+// state again, over a sparse spread of indices across several chunks.
+func TestStateRestoreRoundTrip(t *testing.T) {
+	const blocks = 1 << 20
+	h := New(blocks, 0, rng.New(3))
+	h.Attach(0, 1<<12)
+	r := rng.New(4)
+	idx := []uint64{0, 63, 64, blocks - 1}
+	for i := 0; i < 3000; i++ {
+		idx = append(idx, r.Uint64n(blocks))
+	}
+	for _, i := range idx {
+		h.Leaf(0, i)
+	}
+	st := h.State(0)
+
+	g := New(blocks, 0, rng.New(99))
+	g.Attach(0, 1<<12)
+	if err := g.Restore(0, st); err != nil {
+		t.Fatal(err)
+	}
+	before := g.r.State()
+	for _, i := range idx {
+		if a, b := h.Leaf(0, i), g.Leaf(0, i); a != b {
+			t.Fatalf("index %d: restored leaf %d, want %d", i, b, a)
+		}
+	}
+	if g.r.State() != before {
+		t.Fatal("restored table drew from the RNG for an assigned entry")
+	}
+	if got := g.State(0); !reflect.DeepEqual(got, st) {
+		t.Fatal("re-exported state differs from the restored one")
+	}
+}
+
+// TestRestoreRejectsMalformed: a state naming entries outside the level,
+// leaves outside the tree, or disagreeing array lengths is refused.
+func TestRestoreRejectsMalformed(t *testing.T) {
+	h := New(100, 0, rng.New(1))
+	h.Attach(0, 16)
+	for name, st := range map[string]LevelState{
+		"entry past level": {Pages: []uint64{1}, Set: []uint64{1 << 40}, Leaves: []uint32{0}},
+		"page past level":  {Pages: []uint64{1 << 60}, Set: []uint64{1}, Leaves: []uint32{0}},
+		"leaf past tree":   {Pages: []uint64{0}, Set: []uint64{1}, Leaves: []uint32{16}},
+		"empty bitmap":     {Pages: []uint64{0}, Set: []uint64{0}},
+		"missing leaves":   {Pages: []uint64{0}, Set: []uint64{3}, Leaves: []uint32{1}},
+		"extra leaves":     {Pages: []uint64{0}, Set: []uint64{1}, Leaves: []uint32{1, 2}},
+		"unsorted pages":   {Pages: []uint64{1, 0}, Set: []uint64{1, 1}, Leaves: []uint32{1, 2}},
+		"bitmap count":     {Pages: []uint64{0}, Leaves: []uint32{1}},
+	} {
+		if err := h.Restore(0, st); err == nil {
+			t.Fatalf("%s: accepted", name)
+		}
+	}
 }

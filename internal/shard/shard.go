@@ -25,10 +25,16 @@ import (
 	"palermo/internal/backend/memory"
 	"palermo/internal/crypt"
 	"palermo/internal/oram"
+	"palermo/internal/posmap"
 )
 
 // BlockBytes is the shard payload granularity (one cache line).
 const BlockBytes = crypt.BlockBytes
+
+// MaxBlocks returns the largest shard-local capacity: the serving engine's
+// data tree may have at most posmap.MaxLeaves leaves of Z blocks each
+// (2^36 blocks with Z=16). New refuses larger shards.
+func MaxBlocks() uint64 { return uint64(oram.PalermoRingConfig().Z) * posmap.MaxLeaves }
 
 // Router deterministically maps public block ids onto shards.
 //
@@ -192,9 +198,10 @@ type Shard struct {
 }
 
 // shardState is the gob-encoded controller metadata a durable backend
-// checkpoints: the full ORAM engine state (leaf maps, stash residents,
-// bucket permutation counters) plus the sealer counter and the shard's
-// served-traffic counters. It is sealed before it leaves the trusted
+// checkpoints: the full ORAM engine state in its flat layout (leaf tables,
+// stash residents, bucket contents and permutation counters as arrays;
+// oram.StateLayout) plus the sealer counter and the shard's served-traffic
+// counters. It is sealed before it leaves the trusted
 // boundary — it contains position maps, which the untrusted backend must
 // never see in plaintext.
 type shardState struct {
@@ -431,12 +438,9 @@ func (s *Shard) Snapshot() Counters {
 	}
 }
 
-// checkpoint seals the shard's complete controller metadata and hands it
-// to the backend together with an implicit copy of every sealed block
-// (Backend.Checkpoint compacts the log around it). The blob's sealing
-// epoch is reserved from the shard's own counter *before* the state is
-// encoded, so the checkpointed SealEpoch already covers it and a restored
-// sealer can never re-issue the blob's IV.
+// checkpoint seals the shard's complete controller metadata (sealMeta) and
+// hands it to the backend together with an implicit copy of every sealed
+// block (Backend.Checkpoint compacts the log around it).
 func (s *Shard) checkpoint() error {
 	// A retired shard (surrendered by migration) must never seal another
 	// checkpoint blob: the new owner continues this shard's sealing-epoch
@@ -444,28 +448,10 @@ func (s *Shard) checkpoint() error {
 	if !s.durable || s.retired {
 		return nil
 	}
-	blobEpoch := s.sealer.Epoch() + 1
-	if blobEpoch >= 1<<40 {
-		return fmt.Errorf("shard: sealing counter %d exhausted the 40-bit IV field; re-key the store", blobEpoch)
+	ct, blobEpoch, err := s.sealMeta()
+	if err != nil {
+		return err
 	}
-	s.sealer.SetEpoch(blobEpoch)
-	st := shardState{
-		Index: s.index, Stride: s.stride, Blocks: s.blocks,
-		SealEpoch: blobEpoch,
-		Reads:     s.reads, Writes: s.writes,
-		TrafficR: s.trafficR, TrafficW: s.trafficW,
-		TopHits: s.topHitsBase + s.engine.TopHits(),
-		Engine:  s.engine.State(),
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&st); err != nil {
-		return fmt.Errorf("shard: encode checkpoint: %w", err)
-	}
-	if buf.Len() > crypt.MaxBlobBytes {
-		return fmt.Errorf("shard: checkpoint state is %d bytes, beyond the %d-byte sealing span (shard too populated for durable checkpoints)",
-			buf.Len(), crypt.MaxBlobBytes)
-	}
-	ct := s.sealer.Blob(s.metaAddr(), blobEpoch, buf.Bytes())
 	if s.ioq != nil {
 		// Barrier through the I/O stage: every put queued ahead is applied
 		// before the backend snapshots, so the sealed engine state and the
@@ -478,6 +464,36 @@ func (s *Shard) checkpoint() error {
 	}
 	s.sinceCkpt = 0
 	return nil
+}
+
+// sealMeta reserves the next sealing epoch for a metadata blob — before
+// the state is encoded, so the encoded SealEpoch already covers it and a
+// restored sealer can never re-issue the blob's IV — and returns the
+// sealed encoding of the shard's complete controller metadata under it.
+// The engine state is flat arrays, so equal states encode to equal bytes.
+func (s *Shard) sealMeta() ([]byte, uint64, error) {
+	blobEpoch := s.sealer.Epoch() + 1
+	if blobEpoch >= 1<<40 {
+		return nil, 0, fmt.Errorf("shard: sealing counter %d exhausted the 40-bit IV field; re-key the store", blobEpoch)
+	}
+	s.sealer.SetEpoch(blobEpoch)
+	st := shardState{
+		Index: s.index, Stride: s.stride, Blocks: s.blocks,
+		SealEpoch: blobEpoch,
+		Reads:     s.reads, Writes: s.writes,
+		TrafficR: s.trafficR, TrafficW: s.trafficW,
+		TopHits: s.topHitsBase + s.engine.TopHits(),
+		Engine:  s.engine.State(),
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&st); err != nil {
+		return nil, 0, fmt.Errorf("shard: encode checkpoint: %w", err)
+	}
+	if buf.Len() > crypt.MaxBlobBytes {
+		return nil, 0, fmt.Errorf("shard: checkpoint state is %d bytes, beyond the %d-byte sealing span (shard too populated for durable checkpoints)",
+			buf.Len(), crypt.MaxBlobBytes)
+	}
+	return s.sealer.Blob(s.metaAddr(), blobEpoch, buf.Bytes()), blobEpoch, nil
 }
 
 // recover folds a durable backend's recovered state into the freshly built

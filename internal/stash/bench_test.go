@@ -27,6 +27,7 @@ func BenchmarkStashEvict(b *testing.B) {
 		s.Put(Entry{ID: id, Leaf: next() % leaves})
 		id++
 	}
+	var buf []otree.BlockEntry
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -36,7 +37,7 @@ func BenchmarkStashEvict(b *testing.B) {
 		}
 		evictLeaf := next() % leaves
 		for lvl := g.Depth; lvl >= 0; lvl-- {
-			s.EvictInto(g, evictLeaf, lvl, 16)
+			buf = s.EvictInto(buf, g, evictLeaf, lvl, 16)
 		}
 	}
 }

@@ -17,6 +17,7 @@ package stash
 import (
 	"fmt"
 
+	"palermo/internal/bitpack"
 	"palermo/internal/otree"
 )
 
@@ -170,25 +171,27 @@ func (s *Stash) Remap(id otree.BlockID, leaf uint64) {
 
 // EvictInto selects up to max blocks eligible for the bucket at the given
 // level along the path to evictLeaf — blocks whose mapped leaf shares the
-// length-(level) path prefix — removes them from the stash, and returns
-// them. Selection is oldest-first, which is deterministic. This is the push
-// half of ResetBucket/EvictPath.
-func (s *Stash) EvictInto(g otree.Geometry, evictLeaf uint64, level, max int) []otree.BlockEntry {
-	return s.EvictIntoNode(g, g.NodeAt(evictLeaf, level), max)
+// length-(level) path prefix — removes them from the stash, and appends
+// them to dst[:0]. Selection is oldest-first, which is deterministic. This
+// is the push half of ResetBucket/EvictPath.
+func (s *Stash) EvictInto(dst []otree.BlockEntry, g otree.Geometry, evictLeaf uint64, level, max int) []otree.BlockEntry {
+	return s.EvictIntoNode(dst, g, g.NodeAt(evictLeaf, level), max)
 }
 
 // EvictIntoNode is EvictInto addressed by node rather than (leaf, level):
 // a block is eligible if node lies on its mapped leaf's path. PageORAM uses
 // this for sibling buckets that are not on the accessed path. The scan
 // walks only live entries (oldest first); selected entries unlink in O(1).
-func (s *Stash) EvictIntoNode(g otree.Geometry, node uint64, max int) []otree.BlockEntry {
+// The result reuses dst's storage, so a caller that passes back its
+// previous result evicts without allocating.
+func (s *Stash) EvictIntoNode(dst []otree.BlockEntry, g otree.Geometry, node uint64, max int) []otree.BlockEntry {
+	out := dst[:0]
 	if max <= 0 || s.live == 0 {
-		return nil
+		return out
 	}
 	level := g.NodeLevel(node)
 	prefix := node - ((uint64(1) << level) - 1)
 	shift := uint(g.Depth - level)
-	var out []otree.BlockEntry
 	for i := s.head; i != none && len(out) < max; {
 		next := s.slab[i].next
 		if e := s.slab[i].e; (e.Leaf >> shift) == prefix {
@@ -202,10 +205,12 @@ func (s *Stash) EvictIntoNode(g otree.Geometry, node uint64, max int) []otree.Bl
 }
 
 // State is the serializable stash state for durable-store checkpoints:
-// live entries in insertion order plus the statistics the serving layer
-// reports across a restart.
+// live entries in insertion order, as parallel arrays, plus the
+// statistics the serving layer reports across a restart.
 type State struct {
-	Entries  []Entry
+	IDs      bitpack.Uint64s
+	Leaves   bitpack.Uint64s
+	Vals     bitpack.Uint64s
 	MaxSeen  int
 	Overflow uint64
 }
@@ -213,26 +218,46 @@ type State struct {
 // State exports the current state. Entries are in insertion order, so
 // restoring them with Put reproduces the eviction-selection order exactly.
 func (s *Stash) State() State {
-	st := State{MaxSeen: s.maxSeen, Overflow: s.overflow}
-	st.Entries = make([]Entry, 0, s.live)
-	s.ForEach(func(e Entry) { st.Entries = append(st.Entries, e) })
+	st := State{
+		MaxSeen:  s.maxSeen,
+		Overflow: s.overflow,
+		IDs:      make([]uint64, 0, s.live),
+		Leaves:   make([]uint64, 0, s.live),
+		Vals:     make([]uint64, 0, s.live),
+	}
+	s.ForEach(func(e Entry) {
+		st.IDs = append(st.IDs, uint64(e.ID))
+		st.Leaves = append(st.Leaves, e.Leaf)
+		st.Vals = append(st.Vals, e.Val)
+	})
 	return st
 }
 
 // Restore replaces the stash contents and statistics with a previously
 // exported State. The configured capacity is kept.
-func (s *Stash) Restore(st State) {
+func (s *Stash) Restore(st State) error {
+	if len(st.Leaves) != len(st.IDs) || len(st.Vals) != len(st.IDs) {
+		return fmt.Errorf("stash: checkpoint has %d ids, %d leaves, %d vals", len(st.IDs), len(st.Leaves), len(st.Vals))
+	}
+	seen := make(map[otree.BlockID]bool, len(st.IDs))
+	for _, id := range st.IDs {
+		if otree.BlockID(id) == otree.Dummy || seen[otree.BlockID(id)] {
+			return fmt.Errorf("stash: checkpoint holds block %d twice or a dummy", id)
+		}
+		seen[otree.BlockID(id)] = true
+	}
 	s.slab = s.slab[:0]
 	s.head, s.tail, s.free = none, none, none
 	s.live = 0
-	s.index = make(map[otree.BlockID]int, len(st.Entries))
-	for _, e := range st.Entries {
-		s.Put(e)
+	s.index = make(map[otree.BlockID]int, len(st.IDs))
+	for i, id := range st.IDs {
+		s.Put(Entry{ID: otree.BlockID(id), Leaf: st.Leaves[i], Val: st.Vals[i]})
 	}
 	// Put tracks peaks/overflow as if the entries were new insertions;
 	// the checkpointed statistics are authoritative.
 	s.maxSeen = st.MaxSeen
 	s.overflow = st.Overflow
+	return nil
 }
 
 // Sample records the current occupancy for stash-over-time plots (Fig 12).

@@ -92,7 +92,7 @@ func TestEvictIntoPathEligibility(t *testing.T) {
 	s.Put(Entry{ID: 2, Leaf: 7}) // eligible at level 2
 	s.Put(Entry{ID: 3, Leaf: 8}) // not eligible
 	s.Put(Entry{ID: 4, Leaf: 5}) // eligible
-	out := s.EvictInto(g, 5, 2, 4)
+	out := s.EvictInto(nil, g, 5, 2, 4)
 	if len(out) != 3 {
 		t.Fatalf("evicted %d blocks, want 3", len(out))
 	}
@@ -107,7 +107,7 @@ func TestEvictIntoRespectsMax(t *testing.T) {
 	for i := otree.BlockID(0); i < 10; i++ {
 		s.Put(Entry{ID: i, Leaf: 3})
 	}
-	out := s.EvictInto(g, 3, 4, 4)
+	out := s.EvictInto(nil, g, 3, 4, 4)
 	if len(out) != 4 || s.Len() != 6 {
 		t.Fatalf("evicted %d, remaining %d", len(out), s.Len())
 	}
@@ -118,7 +118,7 @@ func TestEvictIntoRootTakesAnything(t *testing.T) {
 	s := New()
 	s.Put(Entry{ID: 1, Leaf: 0})
 	s.Put(Entry{ID: 2, Leaf: 15})
-	out := s.EvictInto(g, 7, 0, 4)
+	out := s.EvictInto(nil, g, 7, 0, 4)
 	if len(out) != 2 {
 		t.Fatalf("root eviction took %d, want 2 (all leaves share the root)", len(out))
 	}
@@ -130,7 +130,7 @@ func TestEvictDeterministicOldestFirst(t *testing.T) {
 	for i := otree.BlockID(0); i < 6; i++ {
 		s.Put(Entry{ID: i, Leaf: 2})
 	}
-	out := s.EvictInto(g, 2, 4, 3)
+	out := s.EvictInto(nil, g, 2, 4, 3)
 	for i, e := range out {
 		if e.ID != otree.BlockID(i) {
 			t.Fatalf("eviction not oldest-first: %v", out)

@@ -189,6 +189,10 @@ func (c *ShardedStoreConfig) validate() (shard.Router, error) {
 	if err != nil {
 		return shard.Router{}, fmt.Errorf("palermo: %w", err)
 	}
+	if n := router.ShardBlocks(0); n > shard.MaxBlocks() {
+		return shard.Router{}, fmt.Errorf("palermo: %d blocks over %d shards makes shards of %d blocks, beyond the per-shard maximum of %d; use more shards",
+			c.Blocks, c.Shards, n, shard.MaxBlocks())
+	}
 	if c.Dir != "" {
 		if err := wal.EnsureManifest(c.Dir, wal.Manifest{Version: wal.ManifestVersion, Blocks: c.Blocks, Shards: c.Shards, Engine: c.Engine}); err != nil {
 			return shard.Router{}, fmt.Errorf("palermo: %w", err)

@@ -29,7 +29,9 @@ const BlockSize = shard.BlockBytes
 
 // MaxBlocks is the largest capacity NewStore/NewShardedStore accept
 // (2^40 blocks = 64 TB). Beyond it, tree-depth arithmetic in the engine
-// layer would overflow; the constructors reject it eagerly instead.
+// layer would overflow; the constructors reject it eagerly instead. Each
+// shard also holds at most 2^36 blocks (its engine addresses at most 2^32
+// data leaves), so a store above 2^36 blocks needs enough shards.
 const MaxBlocks = 1 << 40
 
 // Block-state backend selectors for StoreConfig/ShardedStoreConfig.

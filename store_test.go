@@ -216,3 +216,31 @@ func ExampleRun() {
 	fmt.Println(res.Protocol, res.Workload, res.Requests)
 	// Output: Palermo rand 100
 }
+
+// TestStoreShardSizeLimit: a shard's engine addresses at most 2^32 data
+// leaves of 16 blocks, so validation accepts a 1-shard store of exactly
+// 2^36 blocks and refuses 2^36+1, which a second shard makes legal again.
+func TestStoreShardSizeLimit(t *testing.T) {
+	st, err := NewStore(StoreConfig{Blocks: 1 << 36})
+	if err != nil {
+		t.Fatalf("2^36 blocks rejected: %v", err)
+	}
+	want := bytes.Repeat([]byte{7}, BlockSize)
+	if err := st.Write(1<<36-1, want); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := st.Read(1<<36 - 1); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("read back at the top id: %v", err)
+	}
+	st.Close()
+
+	_, err = NewStore(StoreConfig{Blocks: 1<<36 + 1})
+	if err == nil || !strings.Contains(err.Error(), "per-shard maximum") {
+		t.Fatalf("2^36+1 blocks in one shard: err = %v, want the per-shard refusal", err)
+	}
+	sst, err := NewShardedStore(ShardedStoreConfig{Blocks: 1<<36 + 1, Shards: 2})
+	if err != nil {
+		t.Fatalf("2^36+1 blocks over 2 shards rejected: %v", err)
+	}
+	sst.Close()
+}
