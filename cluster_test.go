@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"palermo/internal/cluster"
+	"palermo/internal/wire"
 )
 
 // testClusterNode is one running node of a test cluster.
@@ -41,13 +42,20 @@ func (tn *testClusterNode) stop(t *testing.T) {
 	}
 }
 
-// startClusterPair boots a two-node cluster over loopback: listeners are
-// bound first so their concrete addresses can be written into the
-// manifest, then each node loads the manifest and serves its ranges.
+// startClusterPair boots a two-node cluster over loopback.
 func startClusterPair(t *testing.T, cfg ShardedStoreConfig, trace bool) (*testClusterNode, *testClusterNode) {
 	t.Helper()
-	lns := make([]net.Listener, 2)
-	addrs := make([]string, 2)
+	nodes := startCluster(t, cfg, trace, 2)
+	return nodes[0], nodes[1]
+}
+
+// startCluster boots an n-node cluster over loopback: listeners are
+// bound first so their concrete addresses can be written into the
+// manifest, then each node loads the manifest and serves its ranges.
+func startCluster(t *testing.T, cfg ShardedStoreConfig, trace bool, n int) []*testClusterNode {
+	t.Helper()
+	lns := make([]net.Listener, n)
+	addrs := make([]string, n)
 	for i := range lns {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -60,7 +68,7 @@ func startClusterPair(t *testing.T, cfg ShardedStoreConfig, trace bool) (*testCl
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes := make([]*testClusterNode, 2)
+	nodes := make([]*testClusterNode, n)
 	for i := range nodes {
 		node, err := NewClusterNode(ClusterNodeConfig{Addr: addrs[i], Store: cfg}, man)
 		if err != nil {
@@ -77,15 +85,23 @@ func startClusterPair(t *testing.T, cfg ShardedStoreConfig, trace bool) (*testCl
 		go func(srv *Server, ln net.Listener) { done <- srv.Serve(ln) }(srv, lns[i])
 		nodes[i] = &testClusterNode{addr: addrs[i], node: node, srv: srv, done: done}
 	}
-	return nodes[0], nodes[1]
+	return nodes
 }
 
-// clusterLeafTraces concatenates both nodes' traces per shard, source
-// node first: for a shard migrated a→b, a's retired trace is the prefix
-// of the shard's protocol history and b's live trace the suffix.
-func clusterLeafTraces(a, b *testClusterNode) map[int][]uint64 {
+// clusterLeafTraces concatenates the nodes' traces per shard, in node
+// order: for a shard migrated a→b, a's retired trace is the prefix of the
+// shard's protocol history and b's live trace the suffix. Each node must
+// report its traces in ascending shard order.
+func clusterLeafTraces(t *testing.T, nodes ...*testClusterNode) map[int][]uint64 {
+	t.Helper()
 	out := make(map[int][]uint64)
-	for _, traces := range [][]LeafTrace{a.node.LeafTraces(), b.node.LeafTraces()} {
+	for _, n := range nodes {
+		traces := n.node.LeafTraces()
+		for i := 1; i < len(traces); i++ {
+			if traces[i].Shard < traces[i-1].Shard {
+				t.Fatalf("node %s: LeafTraces out of shard order: shard %d after shard %d", n.addr, traces[i].Shard, traces[i-1].Shard)
+			}
+		}
 		for _, tr := range traces {
 			if len(tr.Leaves) > 0 {
 				out[tr.Shard] = append(out[tr.Shard], tr.Leaves...)
@@ -124,6 +140,54 @@ func TestClusterDifferentialEquivalence(t *testing.T) {
 	if err := local.Close(); err != nil {
 		t.Fatal(err)
 	}
+	for i, tr := range wantTraces {
+		if tr.Shard != i {
+			t.Fatalf("ShardedStore.LeafTraces()[%d] is shard %d, want ascending shard order", i, tr.Shard)
+		}
+	}
+
+	// check compares a cluster run against the in-process reference.
+	check := func(t *testing.T, cc *ClusterClient, gotPayloads [][]byte, nodes ...*testClusterNode) {
+		t.Helper()
+		gotStats, gotTraffic, err := cc.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		if len(gotPayloads) != len(wantPayloads) {
+			t.Fatalf("cluster path returned %d read payloads, in-process %d", len(gotPayloads), len(wantPayloads))
+		}
+		for i := range wantPayloads {
+			if !bytes.Equal(gotPayloads[i], wantPayloads[i]) {
+				t.Fatalf("read payload %d diverged between in-process and cluster paths", i)
+			}
+		}
+		if gotStats.Reads != wantStats.Reads || gotStats.Writes != wantStats.Writes ||
+			gotStats.DedupHits != wantStats.DedupHits {
+			t.Fatalf("stats diverged: cluster %d/%d/%d, in-process %d/%d/%d",
+				gotStats.Reads, gotStats.Writes, gotStats.DedupHits,
+				wantStats.Reads, wantStats.Writes, wantStats.DedupHits)
+		}
+		if gotTraffic.Reads != wantTraffic.Reads || gotTraffic.Writes != wantTraffic.Writes ||
+			gotTraffic.DRAMReads != wantTraffic.DRAMReads || gotTraffic.DRAMWrites != wantTraffic.DRAMWrites {
+			t.Fatalf("engine traffic diverged: cluster %+v, in-process %+v", gotTraffic, wantTraffic)
+		}
+		gotTraces := clusterLeafTraces(t, nodes...)
+		for _, want := range wantTraces {
+			got := gotTraces[want.Shard]
+			if len(want.Leaves) == 0 {
+				t.Fatalf("shard %d served nothing in the reference run", want.Shard)
+			}
+			if len(got) != len(want.Leaves) {
+				t.Fatalf("shard %d: cluster exposed %d leaves, in-process %d", want.Shard, len(got), len(want.Leaves))
+			}
+			for j := range want.Leaves {
+				if got[j] != want.Leaves[j] {
+					t.Fatalf("shard %d: leaf %d diverged (%d != %d)", want.Shard, j, got[j], want.Leaves[j])
+				}
+			}
+		}
+	}
 
 	run := func(t *testing.T, nodeCfg ShardedStoreConfig, migrateAt int) {
 		a, b := startClusterPair(t, nodeCfg, true)
@@ -155,44 +219,7 @@ func TestClusterDifferentialEquivalence(t *testing.T) {
 				t.Fatalf("client epoch after riding out the migration = %d, want 2", got)
 			}
 		}
-		gotStats, gotTraffic, err := cc.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		if len(gotPayloads) != len(wantPayloads) {
-			t.Fatalf("cluster path returned %d read payloads, in-process %d", len(gotPayloads), len(wantPayloads))
-		}
-		for i := range wantPayloads {
-			if !bytes.Equal(gotPayloads[i], wantPayloads[i]) {
-				t.Fatalf("read payload %d diverged between in-process and cluster paths", i)
-			}
-		}
-		if gotStats.Reads != wantStats.Reads || gotStats.Writes != wantStats.Writes ||
-			gotStats.DedupHits != wantStats.DedupHits {
-			t.Fatalf("stats diverged: cluster %d/%d/%d, in-process %d/%d/%d",
-				gotStats.Reads, gotStats.Writes, gotStats.DedupHits,
-				wantStats.Reads, wantStats.Writes, wantStats.DedupHits)
-		}
-		if gotTraffic.Reads != wantTraffic.Reads || gotTraffic.Writes != wantTraffic.Writes ||
-			gotTraffic.DRAMReads != wantTraffic.DRAMReads || gotTraffic.DRAMWrites != wantTraffic.DRAMWrites {
-			t.Fatalf("engine traffic diverged: cluster %+v, in-process %+v", gotTraffic, wantTraffic)
-		}
-		gotTraces := clusterLeafTraces(a, b)
-		for _, want := range wantTraces {
-			got := gotTraces[want.Shard]
-			if len(want.Leaves) == 0 {
-				t.Fatalf("shard %d served nothing in the reference run", want.Shard)
-			}
-			if len(got) != len(want.Leaves) {
-				t.Fatalf("shard %d: cluster exposed %d leaves, in-process %d", want.Shard, len(got), len(want.Leaves))
-			}
-			for j := range want.Leaves {
-				if got[j] != want.Leaves[j] {
-					t.Fatalf("shard %d: leaf %d diverged (%d != %d)", want.Shard, j, got[j], want.Leaves[j])
-				}
-			}
-		}
+		check(t, cc, gotPayloads, a, b)
 	}
 
 	t.Run("static", func(t *testing.T) { run(t, cfg, -1) })
@@ -209,6 +236,20 @@ func TestClusterDifferentialEquivalence(t *testing.T) {
 	deep.Prefetch = true
 	deep.PrefetchDepth = 4
 	t.Run("deep-prefetch-migration", func(t *testing.T) { run(t, deep, 200) })
+
+	// One node owning every shard, behind NewClusterServer: a node is a
+	// store that owns a subset of the shards, so with all of them it must
+	// serve exactly what the standalone store serves.
+	t.Run("one-node", func(t *testing.T) {
+		n := startCluster(t, cfg, true, 1)[0]
+		defer n.stop(t)
+		cc, err := DialCluster([]string{n.addr}, ClientConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cc.Close()
+		check(t, cc, playNetOps(t, cc, ops), n)
+	})
 }
 
 // TestClusterWrongEpochReroute pins the staleness contract: after a
@@ -478,5 +519,29 @@ func TestClusterNodeConfigValidation(t *testing.T) {
 	}
 	if err := node.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestClusterNodeMigrateUnownedShard: a migration naming a shard the
+// node does not hold — another node's, or one outside the store — is
+// refused before anything is dialed or staged.
+func TestClusterNodeMigrateUnownedShard(t *testing.T) {
+	man, err := cluster.EvenSplit(1<<10, 2, []string{"a:1", "b:1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	node, err := NewClusterNode(ClusterNodeConfig{Addr: "a:1"}, man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	for _, s := range []int{1, 2, 99, -1} {
+		if err := node.Migrate(s, "b:1"); err == nil || !strings.Contains(err.Error(), "does not own") {
+			t.Fatalf("Migrate(%d) = %v, want a does-not-own refusal", s, err)
+		}
+	}
+	begin := wire.AppendMigrateBeginReq(nil, wire.MigrateBegin{Shard: 99, Stride: 2, Blocks: 1 << 10, Epoch: 1})
+	if _, err := node.ServeExt(wire.OpMigrateBegin, begin); err == nil || !strings.Contains(err.Error(), "outside") {
+		t.Fatalf("migrate begin for shard 99 = %v, want an out-of-range refusal", err)
 	}
 }

@@ -22,18 +22,14 @@ package palermo
 // always refetch the manifest and retry without loss or duplication.
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"os"
-	"sort"
 	"sync"
 	"time"
 
-	"palermo/internal/backend"
 	"palermo/internal/cluster"
 	"palermo/internal/netserve"
-	"palermo/internal/serve"
 	"palermo/internal/shard"
 	"palermo/internal/wire"
 )
@@ -52,39 +48,14 @@ type ClusterNodeConfig struct {
 	Store ShardedStoreConfig
 }
 
-// clusterSlot is one owned shard: its engine and the single-worker
-// service that confines it to one goroutine.
-type clusterSlot struct {
-	sh  *shard.Shard
-	svc *serve.Service
-	be  backend.Backend // storage backend (nil for memory), kept for FsyncLag
-}
-
-// ClusterNode serves the manifest-assigned subset of a sharded store.
+// ClusterNode serves the manifest-assigned subset of a sharded store. It
+// is a ShardedStore that owns only its shards — every request, stats,
+// trace and close method is the store's — plus the placement manifest,
+// wrong-epoch rejection, the cluster wire ops and live migration.
 type ClusterNode struct {
-	cfg    ShardedStoreConfig
-	addr   string
-	router shard.Router
-
-	// mu is the geometry lock. Request paths hold it shared across
-	// ownership-check + submit + wait, so a frame observes one placement:
-	// it is either fully executed under the epoch it was checked against
-	// or fully rejected. Migration cutover takes it exclusively only for
-	// the instants that change placement (marking the shard migrating,
-	// flipping the manifest).
-	mu        sync.RWMutex
-	man       *cluster.Manifest
-	slots     map[int]*clusterSlot
-	migrating map[int]bool
-	closed    bool
-
-	// retired keeps surrendered shards' drained services and final traces:
-	// their service-layer stats and leaf-trace prefixes remain observable
-	// after the shard lives elsewhere.
-	retired       []*serve.Service
-	retiredTraces []LeafTrace
-
-	traceOn bool
+	*ShardedStore
+	addr string
+	man  *cluster.Manifest // guarded by ShardedStore.mu
 
 	migMu  sync.Mutex // serializes outbound migrations
 	sinkMu sync.Mutex // guards the inbound staging session
@@ -135,51 +106,21 @@ func NewClusterNode(cfg ClusterNodeConfig, man *cluster.Manifest) (*ClusterNode,
 	if err != nil {
 		return nil, err
 	}
-	n := &ClusterNode{
-		cfg:       sc,
-		addr:      cfg.Addr,
-		router:    router,
-		man:       man,
-		slots:     make(map[int]*clusterSlot),
-		migrating: make(map[int]bool),
+	st, err := openStore(sc, router, man.Owned(cfg.Addr))
+	if err != nil {
+		return nil, err
 	}
-	for _, s := range man.Owned(cfg.Addr) {
-		slot, err := n.openSlot(s, nil)
-		if err != nil {
-			n.Close()
-			return nil, fmt.Errorf("palermo: %w", err)
-		}
-		n.slots[s] = slot
-	}
-	if sc.Dir != "" {
-		if err := n.persistLocked(); err != nil {
-			n.Close()
-			return nil, err
-		}
+	n := &ClusterNode{ShardedStore: st, addr: cfg.Addr, man: man}
+	st.node = n
+	if err := n.persistLocked(); err != nil {
+		st.discard()
+		return nil, err
 	}
 	return n, nil
 }
 
-// openSlot builds one owned shard (restore, when non-nil, runs before
-// the pipeline starts — the migration import) and its single-worker
-// service. The shard is assembled exactly as NewShardedStore assembles
-// it, so a cluster of nodes is protocol-identical to one in-process
-// ShardedStore; the serve.Service has one worker (index 0) because shard
-// confinement is per-slot here.
-func (n *ClusterNode) openSlot(s int, restore func(*shard.Shard) error) (*clusterSlot, error) {
-	sh, be, err := n.cfg.openShard(n.router, s, shard.DeriveSeed(n.cfg.Seed, s), restore)
-	if err != nil {
-		return nil, err
-	}
-	if n.traceOn {
-		sh.EnableTrace()
-	}
-	svc := serve.New([]serve.Backend{stagedShard{sh}}, n.cfg.serveConfig())
-	return &clusterSlot{sh: sh, svc: svc, be: be}, nil
-}
-
 // persistLocked writes the node's durable cluster state. Callers hold mu
-// (or have exclusive access during construction/teardown).
+// (or have exclusive access during construction).
 func (n *ClusterNode) persistLocked() error {
 	if n.cfg.Dir == "" {
 		return nil
@@ -194,12 +135,6 @@ func (n *ClusterNode) persistLocked() error {
 // Addr returns the node's manifest identity.
 func (n *ClusterNode) Addr() string { return n.addr }
 
-// Blocks returns the cluster store's total capacity in blocks.
-func (n *ClusterNode) Blocks() uint64 { return n.router.Blocks() }
-
-// Shards returns the cluster store's total shard count.
-func (n *ClusterNode) Shards() int { return n.router.Shards() }
-
 // Epoch returns the node's current geometry epoch.
 func (n *ClusterNode) Epoch() uint64 {
 	n.mu.RLock()
@@ -209,352 +144,25 @@ func (n *ClusterNode) Epoch() uint64 {
 
 // OwnedShards returns the shards this node currently serves, ascending.
 func (n *ClusterNode) OwnedShards() []int {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	out := make([]int, 0, len(n.slots))
-	for s := range n.slots {
-		out = append(out, s)
+	var out []int
+	for _, slot := range n.owned() {
+		out = append(out, slot.i)
 	}
-	sort.Ints(out)
 	return out
 }
 
 // Owns reports whether this node currently serves the shard id routes to.
 func (n *ClusterNode) Owns(id uint64) bool {
-	s, _ := n.router.Route(id)
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	_, ok := n.slots[s]
-	return ok && !n.migrating[s]
+	_, _, err := n.routeLocked(id)
+	return err == nil
 }
 
 // wrongEpochLocked builds the typed rejection for a shard this node does
 // not serve. Callers hold mu shared.
 func (n *ClusterNode) wrongEpochLocked(s int) error {
 	return fmt.Errorf("node %s does not own shard %d at epoch %d: %w", n.addr, s, n.man.Epoch, netserve.ErrWrongEpoch)
-}
-
-// slotFor resolves an id to its slot under the caller's read lock.
-func (n *ClusterNode) slotFor(id uint64) (*clusterSlot, uint64, error) {
-	s, local := n.router.Route(id)
-	slot, ok := n.slots[s]
-	if !ok || n.migrating[s] {
-		return nil, 0, n.wrongEpochLocked(s)
-	}
-	return slot, local, nil
-}
-
-// Read fetches a block obliviously, if this node owns its shard.
-func (n *ClusterNode) Read(id uint64) ([]byte, error) {
-	if id >= n.Blocks() {
-		return nil, fmt.Errorf("palermo: block %d outside capacity %d", id, n.Blocks())
-	}
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	slot, local, err := n.slotFor(id)
-	if err != nil {
-		return nil, err
-	}
-	return slot.svc.Read(0, local)
-}
-
-// Write stores a block obliviously, if this node owns its shard.
-func (n *ClusterNode) Write(id uint64, data []byte) error {
-	if id >= n.Blocks() {
-		return fmt.Errorf("palermo: block %d outside capacity %d", id, n.Blocks())
-	}
-	if len(data) != BlockSize {
-		return fmt.Errorf("palermo: block must be %d bytes, got %d", BlockSize, len(data))
-	}
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	slot, local, err := n.slotFor(id)
-	if err != nil {
-		return err
-	}
-	return slot.svc.Write(0, local, data)
-}
-
-// ReadBatch fetches many blocks in one frame-atomic unit: every id's
-// shard must be owned here (else the whole batch is rejected untouched),
-// and each owned shard's subset is submitted as one atomic batch with the
-// §6 same-block dedup fan-out, exactly like ShardedStore.ReadBatch.
-func (n *ClusterNode) ReadBatch(ids []uint64) ([][]byte, error) {
-	out := make([][]byte, len(ids))
-	for _, id := range ids {
-		if id >= n.Blocks() {
-			return nil, fmt.Errorf("palermo: block %d outside capacity %d", id, n.Blocks())
-		}
-	}
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	perShard, perShardPos, err := n.partitionLocked(ids, nil)
-	if err != nil {
-		return nil, err
-	}
-	return out, n.waitBatchesLocked(perShard, perShardPos, out)
-}
-
-// WriteBatch stores blocks[i] under ids[i], frame-atomically (see
-// ReadBatch).
-func (n *ClusterNode) WriteBatch(ids []uint64, blocks [][]byte) error {
-	if len(ids) != len(blocks) {
-		return fmt.Errorf("palermo: WriteBatch got %d ids but %d blocks", len(ids), len(blocks))
-	}
-	for i, id := range ids {
-		if id >= n.Blocks() {
-			return fmt.Errorf("palermo: block %d outside capacity %d", id, n.Blocks())
-		}
-		if len(blocks[i]) != BlockSize {
-			return fmt.Errorf("palermo: block must be %d bytes, got %d", BlockSize, len(blocks[i]))
-		}
-	}
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	perShard, perShardPos, err := n.partitionLocked(ids, blocks)
-	if err != nil {
-		return err
-	}
-	return n.waitBatchesLocked(perShard, perShardPos, nil)
-}
-
-// partitionLocked splits a batch into per-owned-shard sub-batches,
-// rejecting the whole batch if ANY id routes to an unowned shard — the
-// frame-atomicity contract behind the wrong-epoch status: a rejected
-// frame executed nothing, so a client retry cannot duplicate operations.
-func (n *ClusterNode) partitionLocked(ids []uint64, blocks [][]byte) (map[int][]serve.Req, map[int][]int, error) {
-	perShard := make(map[int][]serve.Req)
-	perShardPos := make(map[int][]int)
-	for i, id := range ids {
-		s, local := n.router.Route(id)
-		if _, ok := n.slots[s]; !ok || n.migrating[s] {
-			return nil, nil, n.wrongEpochLocked(s)
-		}
-		req := serve.Req{Op: serve.OpRead, ID: local}
-		if blocks != nil {
-			req = serve.Req{Op: serve.OpWrite, ID: local, Data: blocks[i]}
-		}
-		perShard[s] = append(perShard[s], req)
-		perShardPos[s] = append(perShardPos[s], i)
-	}
-	return perShard, perShardPos, nil
-}
-
-// waitBatchesLocked submits every sub-batch to its slot's worker, then
-// waits for all futures, scattering read payloads into out by original
-// position (the ShardedStore.waitBatches discipline).
-func (n *ClusterNode) waitBatchesLocked(perShard map[int][]serve.Req, perShardPos map[int][]int, out [][]byte) error {
-	futs := make(map[int][]*serve.Future, len(perShard))
-	var firstErr error
-	for s, reqs := range perShard {
-		fs, err := n.slots[s].svc.SubmitBatch(0, reqs)
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		futs[s] = fs
-	}
-	for s, fs := range futs {
-		for j, f := range fs {
-			data, err := f.Wait()
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			if out != nil && err == nil {
-				out[perShardPos[s][j]] = data
-			}
-		}
-	}
-	return firstErr
-}
-
-// Stats folds the node's service and engine counters into the wire
-// snapshot, including the cluster placement fields of the handshake.
-// Service-layer stats merge live AND retired services (a migrated-away
-// shard's serving history stays visible here); engine counters travel
-// with their shard, so Traffic sums live slots only.
-func (n *ClusterNode) Stats() wire.Stats {
-	n.mu.RLock()
-	svcs := make([]*serve.Service, 0, len(n.slots)+len(n.retired))
-	first := -1
-	for s, slot := range n.slots {
-		svcs = append(svcs, slot.svc)
-		if first < 0 || s < first {
-			first = s
-		}
-	}
-	svcs = append(svcs, n.retired...)
-	owned := uint32(len(n.slots))
-	epoch := n.man.Epoch
-	n.mu.RUnlock()
-
-	ss := serve.MergeStats(svcs)
-	tr := n.Traffic()
-	if first < 0 {
-		first = 0
-	}
-	return wire.Stats{
-		Blocks:      n.Blocks(),
-		Shards:      uint32(n.Shards()),
-		Reads:       ss.Reads,
-		Writes:      ss.Writes,
-		DedupHits:   ss.DedupHits,
-		Sheds:       ss.Sheds,
-		ReadLat:     toWireLatency(ss.ReadLat),
-		WriteLat:    toWireLatency(ss.WriteLat),
-		QueueLat:    toWireLatency(ss.QueueLat),
-		ExecLat:     toWireLatency(ss.ExecLat),
-		EngineReads: tr.Reads, EngineWrites: tr.Writes,
-		DRAMReads: tr.DRAMReads, DRAMWrites: tr.DRAMWrites,
-		StashPeak:      uint32(tr.StashPeak),
-		TreeTopHits:    tr.TreeTopHits,
-		PrefetchIssued: tr.PrefetchIssued, PrefetchUsed: tr.PrefetchUsed, PrefetchStale: tr.PrefetchStale,
-		Epoch: epoch, FirstShard: uint32(first), OwnedShards: owned,
-	}
-}
-
-// ServiceStats merges the node's live and retired services into the same
-// service-layer snapshot shape ShardedStore.Stats returns (completed
-// operations, dedup hits, shed counts, latency summaries). It is the
-// operability view of Stats without the wire/placement framing.
-func (n *ClusterNode) ServiceStats() ServiceStats {
-	n.mu.RLock()
-	svcs := make([]*serve.Service, 0, len(n.slots)+len(n.retired))
-	for _, slot := range n.slots {
-		svcs = append(svcs, slot.svc)
-	}
-	svcs = append(svcs, n.retired...)
-	n.mu.RUnlock()
-	return serve.MergeStats(svcs)
-}
-
-// QueueDepths reports each owned shard's instantaneous request-queue
-// occupancy, in ascending shard order (pair with OwnedShards for the
-// shard indices). A point-in-time gauge, not a synchronized snapshot.
-func (n *ClusterNode) QueueDepths() []int {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	shards := make([]int, 0, len(n.slots))
-	for s := range n.slots {
-		shards = append(shards, s)
-	}
-	sort.Ints(shards)
-	out := make([]int, 0, len(shards))
-	for _, s := range shards {
-		out = append(out, n.slots[s].svc.QueueDepths()[0])
-	}
-	return out
-}
-
-// FsyncLag aggregates the owned shards' durable-backend fsync telemetry
-// (count and cumulative wait); memory-backed nodes report (0, 0).
-func (n *ClusterNode) FsyncLag() (count uint64, total time.Duration) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	for _, slot := range n.slots {
-		if fs, ok := slot.be.(interface {
-			FsyncStats() (uint64, time.Duration)
-		}); ok {
-			c, d := fs.FsyncStats()
-			count += c
-			total += d
-		}
-	}
-	return count, total
-}
-
-// Traffic aggregates the live slots' engine counters (each snapshotted on
-// its own worker). A migrated shard's counters moved with it: its new
-// owner reports them, so summing live slots across the cluster counts
-// every access exactly once.
-func (n *ClusterNode) Traffic() TrafficReport {
-	n.mu.RLock()
-	slots := make([]*clusterSlot, 0, len(n.slots))
-	for _, slot := range n.slots {
-		slots = append(slots, slot)
-	}
-	n.mu.RUnlock()
-	var rep TrafficReport
-	for _, slot := range slots {
-		var c shard.Counters
-		sh := slot.sh
-		if err := slot.svc.Sync(0, func() { c = sh.Snapshot() }); err != nil {
-			slot.svc.WaitClosed()
-			c = sh.Snapshot()
-		}
-		rep.add(c, slot.be)
-	}
-	return rep.amplified()
-}
-
-// EnableTraces starts recording every owned shard's leaf trace (including
-// shards acquired by later migrations). Call before serving starts.
-func (n *ClusterNode) EnableTraces() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.traceOn = true
-	for _, slot := range n.slots {
-		slot.sh.EnableTrace()
-	}
-}
-
-// LeafTraces snapshots the leaf traces of every shard this node served:
-// live slots (copied on their own workers) plus the final traces of
-// shards surrendered by migration. For a migrated shard, this node's
-// trace is the prefix of the shard's protocol history; the new owner's
-// trace is its continuation.
-func (n *ClusterNode) LeafTraces() []LeafTrace {
-	n.mu.RLock()
-	type liveRef struct {
-		s    int
-		slot *clusterSlot
-	}
-	live := make([]liveRef, 0, len(n.slots))
-	for s, slot := range n.slots {
-		live = append(live, liveRef{s, slot})
-	}
-	out := append([]LeafTrace(nil), n.retiredTraces...)
-	n.mu.RUnlock()
-	for _, lr := range live {
-		var lt LeafTrace
-		sh := lr.slot.sh
-		copyTrace := func() {
-			lt.Shard = lr.s
-			lt.NumLeaves = sh.DataLeaves()
-			if tr := sh.Trace(); tr != nil {
-				lt.Leaves = append([]uint64(nil), tr.Leaves...)
-			}
-		}
-		if err := lr.slot.svc.Sync(0, copyTrace); err != nil {
-			lr.slot.svc.WaitClosed()
-			copyTrace()
-		}
-		out = append(out, lt)
-	}
-	return out
-}
-
-// Close drains and closes every owned shard's service (checkpointing
-// durable shards) and the retired services. Idempotent.
-func (n *ClusterNode) Close() error {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return nil
-	}
-	n.closed = true
-	slots := n.slots
-	n.slots = make(map[int]*clusterSlot)
-	retired := n.retired
-	n.retired = nil
-	n.mu.Unlock()
-	var errs []error
-	for _, slot := range slots {
-		errs = append(errs, slot.svc.Close())
-	}
-	for _, svc := range retired {
-		errs = append(errs, svc.Close())
-	}
-	return errors.Join(errs...)
 }
 
 // NewClusterServer exposes a ClusterNode over TCP with the standalone
@@ -564,16 +172,10 @@ func NewClusterServer(n *ClusterNode, cfg ServerConfig) (*Server, error) {
 	if n == nil {
 		return nil, fmt.Errorf("palermo: NewClusterServer requires a node")
 	}
-	ns, err := netserve.New(n, netserve.Config{
-		MaxInFlight:  cfg.MaxInFlight,
-		MaxBatch:     cfg.MaxBatch,
-		IdleTimeout:  cfg.IdleTimeout,
-		WriteTimeout: cfg.WriteTimeout,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("palermo: %w", err)
-	}
-	return &Server{ns: ns}, nil
+	return newServer(struct {
+		netStore
+		netserve.ExtStore
+	}{netStore{n.ShardedStore}, n}, cfg)
 }
 
 // --- extension ops (manifest + migration) ------------------------------
@@ -643,13 +245,13 @@ type migrateSink struct {
 // belong to this node's store: same geometry, same epoch, not already
 // owned here. One inbound migration at a time.
 func (n *ClusterNode) sinkBegin(mb wire.MigrateBegin) error {
-	n.mu.RLock()
-	epoch := n.man.Epoch
-	_, owned := n.slots[int(mb.Shard)]
-	n.mu.RUnlock()
 	if int(mb.Shard) >= n.Shards() {
 		return fmt.Errorf("palermo: migrate: shard %d outside store's %d shards", mb.Shard, n.Shards())
 	}
+	n.mu.RLock()
+	epoch := n.man.Epoch
+	owned := n.slots[mb.Shard] != nil
+	n.mu.RUnlock()
 	if mb.Stride != uint32(n.Shards()) || mb.Blocks != n.Blocks() {
 		return fmt.Errorf("palermo: migrate: geometry mismatch (sender %d blocks / %d shards, node %d / %d)",
 			mb.Blocks, mb.Stride, n.Blocks(), n.Shards())
@@ -786,18 +388,20 @@ func (n *ClusterNode) sinkCommit(s uint32, newEpoch uint64) error {
 		return fmt.Errorf("palermo: migrate: %w", err)
 	}
 	n.mu.Lock()
-	if n.man.Epoch != sink.begin.Epoch {
-		cur := n.man.Epoch
+	if n.closed || n.man.Epoch != sink.begin.Epoch {
+		closed, cur := n.closed, n.man.Epoch
 		n.mu.Unlock()
-		// The node's placement moved while the shard streamed: installing
-		// would regress the epoch. Discard the import (retired so the
-		// teardown never seals into the source's still-live epoch domain).
-		sh2 := slot.sh
-		slot.svc.Sync(0, func() { sh2.Retire() })
-		slot.svc.Close()
+		// Installing would outlive Close, or regress the epoch because the
+		// node's placement moved while the shard streamed. Discard the
+		// import (retired so the teardown never seals into the source's
+		// still-live epoch domain).
+		slot.retire()
+		if closed {
+			return fmt.Errorf("palermo: migrate: %w", ErrClosed)
+		}
 		return fmt.Errorf("palermo: migrate: node epoch moved to %d while shard %d staged (began at %d)", cur, s, sink.begin.Epoch)
 	}
-	n.slots[int(s)] = slot
+	n.slots[s] = slot
 	n.man = n.man.WithOwner(int(s), n.addr, newEpoch)
 	err = n.persistLocked()
 	n.mu.Unlock()
@@ -830,11 +434,14 @@ func (n *ClusterNode) Migrate(shardIdx int, target string) error {
 	if target == n.addr {
 		return fmt.Errorf("palermo: migrate: target %s is this node", target)
 	}
+	var slot *storeSlot
 	n.mu.RLock()
-	slot, owned := n.slots[shardIdx]
+	if shardIdx >= 0 && shardIdx < len(n.slots) {
+		slot = n.slots[shardIdx]
+	}
 	epoch := n.man.Epoch
 	n.mu.RUnlock()
-	if !owned {
+	if slot == nil {
 		return fmt.Errorf("palermo: migrate: node %s does not own shard %d", n.addr, shardIdx)
 	}
 	nc, err := net.DialTimeout("tcp", target, migrateDialTimeout)
@@ -871,14 +478,14 @@ func (n *ClusterNode) Migrate(shardIdx int, target string) error {
 		return fmt.Errorf("palermo: migrate: %w", expErr)
 	}
 	if err := mc.sendBlocks(uint32(shardIdx), snap); err != nil {
-		n.abortMigration(mc, slot, shardIdx, false)
+		n.abortMigration(mc, slot, false)
 		return fmt.Errorf("palermo: migrate snapshot: %w", err)
 	}
 
 	// Cutover barrier: stop admitting requests for this shard, drain what
 	// is queued, and capture the tail + exact engine state.
 	n.mu.Lock()
-	n.migrating[shardIdx] = true
+	slot.migrating = true
 	n.mu.Unlock()
 	var tail []shard.SealedBlock
 	var meta []byte
@@ -887,95 +494,72 @@ func (n *ClusterNode) Migrate(shardIdx int, target string) error {
 		tail = sh.StopTee()
 		meta, metaEpoch, expErr = sh.ExportMeta()
 	}); err != nil {
-		n.abortMigration(mc, slot, shardIdx, true)
+		n.abortMigration(mc, slot, true)
 		return fmt.Errorf("palermo: migrate: %w", err)
 	}
 	if expErr != nil {
-		n.abortMigration(mc, slot, shardIdx, true)
+		n.abortMigration(mc, slot, true)
 		return fmt.Errorf("palermo: migrate: %w", expErr)
 	}
 	if err := mc.sendBlocks(uint32(shardIdx), tail); err != nil {
-		n.abortMigration(mc, slot, shardIdx, true)
+		n.abortMigration(mc, slot, true)
 		return fmt.Errorf("palermo: migrate tail: %w", err)
 	}
 	if err := mc.sendMeta(uint32(shardIdx), metaEpoch, meta); err != nil {
-		n.abortMigration(mc, slot, shardIdx, true)
+		n.abortMigration(mc, slot, true)
 		return fmt.Errorf("palermo: migrate meta: %w", err)
 	}
 
 	// Commit. From the moment the frame is on the wire, failure no longer
 	// means "the target doesn't have the shard" — fail-stop, don't abort.
 	if err := mc.roundTrip(wire.OpMigrateCommit, wire.AppendMigrateCommitReq(nil, uint32(shardIdx), epoch+1)); err != nil {
-		n.failStop(slot, shardIdx)
+		n.surrender(slot, nil)
 		return fmt.Errorf("palermo: migrate commit failed after the commit frame was sent; shard %d fail-stopped on this node (the target may own it — resolve placement manually): %w", shardIdx, err)
 	}
 
 	// Committed: flip placement, then retire the surrendered shard. Its
 	// sealing-epoch domain now continues on the target, so this side must
 	// never seal again (Retire suppresses the farewell checkpoint).
-	n.mu.Lock()
-	delete(n.slots, shardIdx)
-	delete(n.migrating, shardIdx)
-	n.man = n.man.WithOwner(shardIdx, target, epoch+1)
-	perr := n.persistLocked()
-	n.mu.Unlock()
-	n.retireSlot(slot, shardIdx)
-	if perr != nil {
-		return perr
-	}
-	return nil
+	return n.surrender(slot, func() error {
+		n.man = n.man.WithOwner(shardIdx, target, epoch+1)
+		return n.persistLocked()
+	})
 }
 
-// retireSlot captures a surrendered shard's final trace, retires it, and
-// parks its drained service for merged stats.
-func (n *ClusterNode) retireSlot(slot *clusterSlot, shardIdx int) {
-	var lt LeafTrace
-	sh := slot.sh
-	capture := func() {
-		lt.Shard = shardIdx
-		lt.NumLeaves = sh.DataLeaves()
-		if tr := sh.Trace(); tr != nil {
-			lt.Leaves = append([]uint64(nil), tr.Leaves...)
-		}
-		sh.Retire()
+// surrender takes a shard out of service for good: under the geometry
+// lock it drops the slot and runs flip (the placement change, nil when a
+// failed commit fail-stops the shard), then captures the final trace,
+// retires the shard, and parks its drained service for merged stats. The
+// shard's sealing-epoch domain may continue on the target, so this side
+// never serves or checkpoints it again. Returns flip's error.
+func (n *ClusterNode) surrender(slot *storeSlot, flip func() error) error {
+	var err error
+	n.mu.Lock()
+	n.slots[slot.i] = nil
+	if flip != nil {
+		err = flip()
 	}
-	if err := slot.svc.Sync(0, capture); err != nil {
-		slot.svc.WaitClosed()
-		capture()
-	}
-	slot.svc.Close()
+	n.mu.Unlock()
+	lt := slot.leafTrace()
+	slot.retire()
 	n.mu.Lock()
 	n.retired = append(n.retired, slot.svc)
 	if n.traceOn {
 		n.retiredTraces = append(n.retiredTraces, lt)
 	}
 	n.mu.Unlock()
-}
-
-// failStop removes a shard whose migration commit outcome is unknown:
-// neither serve it (the target may own it) nor checkpoint it (the target
-// may continue its sealing-epoch domain).
-func (n *ClusterNode) failStop(slot *clusterSlot, shardIdx int) {
-	n.mu.Lock()
-	delete(n.slots, shardIdx)
-	delete(n.migrating, shardIdx)
-	n.mu.Unlock()
-	n.retireSlot(slot, shardIdx)
+	return err
 }
 
 // abortMigration unwinds a pre-commit failure: best-effort Abort to the
 // target, discard the tee, and (if the cutover barrier was up) resume
 // serving the shard.
-func (n *ClusterNode) abortMigration(mc *migrateConn, slot *clusterSlot, shardIdx int, barrier bool) {
-	mc.roundTrip(wire.OpMigrateAbort, wire.AppendMigrateAbortReq(nil, uint32(shardIdx))) // best-effort
-	sh := slot.sh
-	if err := slot.svc.Sync(0, func() { sh.StopTee() }); err != nil {
-		slot.svc.WaitClosed()
-		sh.StopTee()
-	}
+func (n *ClusterNode) abortMigration(mc *migrateConn, slot *storeSlot, barrier bool) {
+	mc.roundTrip(wire.OpMigrateAbort, wire.AppendMigrateAbortReq(nil, uint32(slot.i))) // best-effort
+	slot.do(func() { slot.sh.StopTee() })
 	if barrier {
 		n.mu.Lock()
-		delete(n.migrating, shardIdx)
+		slot.migrating = false
 		n.mu.Unlock()
 	}
 }

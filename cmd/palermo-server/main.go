@@ -78,12 +78,7 @@ func main() {
 		durability = fmt.Sprintf("durable in %s (%s engine)", storeCfg.Dir, storeCfg.Engine)
 	}
 
-	if *manifest != "" {
-		runCluster(*addr, *manifest, storeCfg, srvCfg, durability, *metricsAddr, *pprofOn)
-		return
-	}
-
-	st, err := palermo.NewShardedStore(storeCfg)
+	st, srv, desc, err := open(*manifest, *addr, storeCfg, srvCfg)
 	if err != nil {
 		fatal(err)
 	}
@@ -93,22 +88,48 @@ func main() {
 		QueueDepths: st.QueueDepths,
 		FsyncLag:    st.FsyncLag,
 	}, *pprofOn)
-	srv, err := palermo.NewServer(st, srvCfg)
-	if err != nil {
-		st.Close()
-		fatal(err)
-	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		st.Close()
 		fatal(err)
 	}
-	fmt.Printf("palermo-server: listening on %s (%d shards, %d blocks, %s)\n",
-		ln.Addr(), st.Shards(), st.Blocks(), durability)
-	serveLoop(ln, srv, st.Close, func() (uint64, uint64) {
-		ss := st.Stats()
-		return ss.Reads, ss.Writes
-	})
+	fmt.Printf("palermo-server: listening on %s (%s, %s)\n", ln.Addr(), desc, durability)
+	serveLoop(ln, srv, st)
+}
+
+// open builds the store — a cluster node when manifestPath is set — and
+// the server in front of it, and describes them for the listening line.
+// A cluster node serves only the shards the manifest assigns to addr,
+// answers manifest fetches, and accepts live shard migrations.
+// Either way the store is a *palermo.ShardedStore: a node embeds one.
+func open(manifestPath, addr string, storeCfg palermo.ShardedStoreConfig, srvCfg palermo.ServerConfig) (*palermo.ShardedStore, *palermo.Server, string, error) {
+	if manifestPath == "" {
+		st, err := palermo.NewShardedStore(storeCfg)
+		if err != nil {
+			return nil, nil, "", err
+		}
+		srv, err := palermo.NewServer(st, srvCfg)
+		if err != nil {
+			st.Close()
+			return nil, nil, "", err
+		}
+		return st, srv, fmt.Sprintf("%d shards, %d blocks", st.Shards(), st.Blocks()), nil
+	}
+	man, err := cluster.Load(manifestPath)
+	if err != nil {
+		return nil, nil, "", err
+	}
+	node, err := palermo.NewClusterNode(palermo.ClusterNodeConfig{Addr: addr, Store: storeCfg}, man)
+	if err != nil {
+		return nil, nil, "", err
+	}
+	srv, err := palermo.NewClusterServer(node, srvCfg)
+	if err != nil {
+		node.Close()
+		return nil, nil, "", err
+	}
+	return node.ShardedStore, srv, fmt.Sprintf("cluster node %s, epoch %d, owns shards %v of %d, %d blocks",
+		node.Addr(), node.Epoch(), node.OwnedShards(), node.Shards(), node.Blocks()), nil
 }
 
 // startMetrics binds the operability listener when -metrics is set. The
@@ -125,46 +146,10 @@ func startMetrics(addr string, vars palermo.MetricsVars, pprofOn bool) {
 	fmt.Printf("palermo-server: metrics on http://%s/metrics\n", ms.Addr())
 }
 
-// runCluster serves one cluster node: the manifest decides which shards
-// this address owns, and the node handles manifest fetches, wrong-epoch
-// rejection of misrouted requests, and live shard migration.
-func runCluster(addr, manifestPath string, storeCfg palermo.ShardedStoreConfig, srvCfg palermo.ServerConfig, durability, metricsAddr string, pprofOn bool) {
-	man, err := cluster.Load(manifestPath)
-	if err != nil {
-		fatal(err)
-	}
-	node, err := palermo.NewClusterNode(palermo.ClusterNodeConfig{Addr: addr, Store: storeCfg}, man)
-	if err != nil {
-		fatal(err)
-	}
-	startMetrics(metricsAddr, palermo.MetricsVars{
-		Service:     node.ServiceStats,
-		Traffic:     node.Traffic,
-		QueueDepths: node.QueueDepths,
-		FsyncLag:    node.FsyncLag,
-	}, pprofOn)
-	srv, err := palermo.NewClusterServer(node, srvCfg)
-	if err != nil {
-		node.Close()
-		fatal(err)
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		node.Close()
-		fatal(err)
-	}
-	fmt.Printf("palermo-server: listening on %s (cluster node %s, epoch %d, owns shards %v of %d, %d blocks, %s)\n",
-		ln.Addr(), node.Addr(), node.Epoch(), node.OwnedShards(), node.Shards(), node.Blocks(), durability)
-	serveLoop(ln, srv, node.Close, func() (uint64, uint64) {
-		ws := node.Stats()
-		return ws.Reads, ws.Writes
-	})
-}
-
 // serveLoop serves until a signal, then drains the network layer before
 // closing the store so every accepted request completes against an open
 // store.
-func serveLoop(ln net.Listener, srv *palermo.Server, closeStore func() error, stats func() (uint64, uint64)) {
+func serveLoop(ln net.Listener, srv *palermo.Server, st *palermo.ShardedStore) {
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	serveErr := make(chan error, 1)
@@ -173,18 +158,18 @@ func serveLoop(ln net.Listener, srv *palermo.Server, closeStore func() error, st
 	case sig := <-sigc:
 		fmt.Printf("palermo-server: %v — draining\n", sig)
 	case err := <-serveErr:
-		closeStore()
+		st.Close()
 		fatal(err)
 	}
 	if err := srv.Close(); err != nil {
-		closeStore()
+		st.Close()
 		fatal(err)
 	}
-	reads, writes := stats()
-	if err := closeStore(); err != nil {
+	ss := st.Stats()
+	if err := st.Close(); err != nil {
 		fatal(err)
 	}
-	fmt.Printf("palermo-server: stopped (%d reads, %d writes served)\n", reads, writes)
+	fmt.Printf("palermo-server: stopped (%d reads, %d writes served)\n", ss.Reads, ss.Writes)
 }
 
 func fatal(err error) {

@@ -231,7 +231,7 @@ func TestNetDifferentialEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sh := range local.shards {
+	for _, sh := range local.engines() {
 		sh.EnableTrace()
 	}
 	wantPayloads := playNetOps(t, local, ops)
@@ -245,7 +245,7 @@ func TestNetDifferentialEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sh := range remoteStore.shards {
+	for _, sh := range remoteStore.engines() {
 		sh.EnableTrace()
 	}
 	srv, err := NewServer(remoteStore, ServerConfig{})
@@ -300,8 +300,8 @@ func TestNetDifferentialEquivalence(t *testing.T) {
 			wantStats.Reads, wantStats.Writes, wantStats.DedupHits)
 	}
 	// Identical per-shard engine traces: same ops, same order, same leaves.
-	for i := range local.shards {
-		want, got := local.shards[i].Trace(), remoteStore.shards[i].Trace()
+	for i := range local.engines() {
+		want, got := local.engines()[i].Trace(), remoteStore.engines()[i].Trace()
 		if len(want.Ops) == 0 {
 			t.Fatalf("shard %d served nothing", i)
 		}
@@ -343,7 +343,7 @@ func TestPipelinedVsSerialEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, sh := range st.shards {
+		for _, sh := range st.engines() {
 			sh.EnableTrace()
 		}
 		payloads = playNetOps(t, st, ops)
@@ -351,7 +351,7 @@ func TestPipelinedVsSerialEquivalence(t *testing.T) {
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
 		}
-		for _, sh := range st.shards {
+		for _, sh := range st.engines() {
 			traces = append(traces, sh.Trace())
 		}
 		return payloads, stats, traces
@@ -548,7 +548,7 @@ func TestCachePrefetchEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, sh := range st.shards {
+		for _, sh := range st.engines() {
 			sh.EnableTrace()
 		}
 		payloads = playNetOps(t, st, ops)
@@ -557,7 +557,7 @@ func TestCachePrefetchEquivalence(t *testing.T) {
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
 		}
-		for _, sh := range st.shards {
+		for _, sh := range st.engines() {
 			traces = append(traces, sh.Trace())
 		}
 		return payloads, stats, traces, rep

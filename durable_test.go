@@ -5,8 +5,11 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
+	"sync"
 	"testing"
 
+	"palermo/internal/cluster"
 	"palermo/internal/rng"
 )
 
@@ -664,5 +667,143 @@ func TestEngineAliasAndMismatchValidation(t *testing.T) {
 	st.Close()
 	if _, err := NewStore(StoreConfig{Blocks: 1 << 10, Engine: BackendWAL, Dir: bfDir}); err == nil {
 		t.Fatal("blockfile dir reopened as wal")
+	}
+}
+
+// durableStore is what the failure-path tests need of a front end.
+type durableStore interface {
+	Write(id uint64, data []byte) error
+	Close() error
+}
+
+// durableFront opens a 2-shard blockfile store over dir through one of
+// the two public front ends.
+type durableFront struct {
+	name string
+	open func(dir string) (durableStore, error)
+}
+
+// durableFronts lists the standalone store and a cluster node owning
+// both shards, over the same geometry: the failure paths below must
+// behave identically through either.
+func durableFronts(t *testing.T) []durableFront {
+	t.Helper()
+	const blocks = 1 << 10
+	cfg := func(dir string) ShardedStoreConfig {
+		return ShardedStoreConfig{Blocks: blocks, Shards: 2, Engine: BackendBlockfile, Dir: dir, Seed: 3}
+	}
+	man, err := cluster.EvenSplit(blocks, 2, []string{"127.0.0.1:7070"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []durableFront{
+		{"ShardedStore", func(dir string) (durableStore, error) {
+			return NewShardedStore(cfg(dir))
+		}},
+		{"ClusterNode", func(dir string) (durableStore, error) {
+			return NewClusterNode(ClusterNodeConfig{Addr: "127.0.0.1:7070", Store: cfg(dir)}, man)
+		}},
+	}
+}
+
+// TestCloseReturnsFirstOutcome: a Close whose farewell checkpoint fails
+// (shard 1's directory vanished underneath it) reports the failure, and
+// every other Close, concurrent or later, reports the same failure
+// instead of nil, so a retry never hides a lost checkpoint.
+func TestCloseReturnsFirstOutcome(t *testing.T) {
+	for _, f := range durableFronts(t) {
+		t.Run(f.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := f.open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Write(1, fillBlock(1)); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.RemoveAll(shardDir(dir, 1)); err != nil {
+				t.Fatal(err)
+			}
+			// Concurrent first calls, then a later one: all report the
+			// one outcome.
+			errs := make([]error, 4)
+			var wg sync.WaitGroup
+			for i := range errs[:3] {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					errs[i] = st.Close()
+				}()
+			}
+			wg.Wait()
+			errs[3] = st.Close()
+			if errs[0] == nil {
+				t.Fatal("Close succeeded although shard 1's directory is gone")
+			}
+			for i, err := range errs {
+				if err == nil || err.Error() != errs[0].Error() {
+					t.Fatalf("Close call %d returned %v, want %v", i, err, errs[0])
+				}
+			}
+		})
+	}
+}
+
+// TestFailedOpenLeavesDirAsFound: when a reopen fails on shard 1, the
+// shard already opened is discarded without a farewell checkpoint, so
+// shard 0's files are byte-identical before and after the attempt.
+func TestFailedOpenLeavesDirAsFound(t *testing.T) {
+	readDir := func(t *testing.T, dir string) map[string][]byte {
+		t.Helper()
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[string][]byte)
+		for _, e := range ents {
+			b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[e.Name()] = b
+		}
+		return out
+	}
+	for _, f := range durableFronts(t) {
+		t.Run(f.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := f.open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for id := uint64(0); id < 64; id++ {
+				if err := st.Write(id, fillBlock(id)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.RemoveAll(shardDir(dir, 1)); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(shardDir(dir, 1), []byte("not a shard directory"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before := readDir(t, shardDir(dir, 0))
+			if st, err := f.open(dir); err == nil {
+				st.Close()
+				t.Fatal("reopen succeeded with shard 1's directory replaced by a file")
+			}
+			after := readDir(t, shardDir(dir, 0))
+			if len(after) != len(before) {
+				t.Fatalf("shard 0 holds %d files after the failed open, %d before", len(after), len(before))
+			}
+			for name, b := range before {
+				if !bytes.Equal(after[name], b) {
+					t.Fatalf("shard 0's %s changed during the failed open", name)
+				}
+			}
+		})
 	}
 }

@@ -21,9 +21,9 @@ import (
 )
 
 // MetricsVars supplies the snapshot sources for a metrics handler. Any
-// nil field's metrics are simply omitted, so one handler shape serves
-// both the standalone store and a cluster node (whose Stats method
-// returns the wire shape instead of ServiceStats).
+// nil field's metrics are simply omitted. A standalone store and a
+// cluster node share the method set these fields take (a node embeds
+// the store), so one wiring serves both.
 type MetricsVars struct {
 	// Service returns the service-layer snapshot: operation counts,
 	// dedup hits, shed counts, and the queue/exec latency split.

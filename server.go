@@ -65,7 +65,13 @@ func NewServer(st *ShardedStore, cfg ServerConfig) (*Server, error) {
 	if st == nil {
 		return nil, fmt.Errorf("palermo: NewServer requires a store")
 	}
-	ns, err := netserve.New(serverStore{st}, netserve.Config{
+	return newServer(netStore{st}, cfg)
+}
+
+// newServer builds the network layer over st, a standalone store or a
+// cluster node.
+func newServer(st netserve.Store, cfg ServerConfig) (*Server, error) {
+	ns, err := netserve.New(st, netserve.Config{
 		MaxInFlight:  cfg.MaxInFlight,
 		MaxBatch:     cfg.MaxBatch,
 		IdleTimeout:  cfg.IdleTimeout,
@@ -99,28 +105,33 @@ func (s *Server) Addr() net.Addr { return s.ns.Addr() }
 // connections. Idempotent.
 func (s *Server) Close() error { return s.ns.Close() }
 
-// serverStore adapts ShardedStore to the netserve.Store interface,
-// folding the service stats, traffic counters, and store geometry into
-// the single wire snapshot the Stats op returns.
-type serverStore struct {
-	st *ShardedStore
-}
+// netStore is the netserve.Store a Server serves: the store's own
+// request methods, with Stats answered by the wire snapshot.
+type netStore struct{ *ShardedStore }
 
-func (a serverStore) Read(id uint64) ([]byte, error)  { return a.st.Read(id) }
-func (a serverStore) Write(id uint64, d []byte) error { return a.st.Write(id, d) }
-func (a serverStore) ReadBatch(ids []uint64) ([][]byte, error) {
-	return a.st.ReadBatch(ids)
-}
-func (a serverStore) WriteBatch(ids []uint64, blocks [][]byte) error {
-	return a.st.WriteBatch(ids, blocks)
-}
+func (a netStore) Stats() wire.Stats { return a.wireStats() }
 
-func (a serverStore) Stats() wire.Stats {
-	ss := a.st.Stats()
-	tr := a.st.Traffic()
+// wireStats folds the service stats, the engine traffic, and the store's
+// geometry and placement into the single snapshot the wire Stats op
+// returns. A standalone store owns every shard at epoch 0; a cluster
+// node reports its manifest epoch and owned range.
+func (s *ShardedStore) wireStats() wire.Stats {
+	s.mu.RLock()
+	owned := s.ownedLocked()
+	var epoch uint64
+	if s.node != nil {
+		epoch = s.node.man.Epoch
+	}
+	s.mu.RUnlock()
+	first := 0
+	if len(owned) > 0 {
+		first = owned[0].i
+	}
+	ss := s.Stats()
+	tr := s.Traffic()
 	return wire.Stats{
-		Blocks:      a.st.Blocks(),
-		Shards:      uint32(a.st.Shards()),
+		Blocks:      s.Blocks(),
+		Shards:      uint32(s.Shards()),
 		Reads:       ss.Reads,
 		Writes:      ss.Writes,
 		DedupHits:   ss.DedupHits,
@@ -134,8 +145,7 @@ func (a serverStore) Stats() wire.Stats {
 		StashPeak:      uint32(tr.StashPeak),
 		TreeTopHits:    tr.TreeTopHits,
 		PrefetchIssued: tr.PrefetchIssued, PrefetchUsed: tr.PrefetchUsed, PrefetchStale: tr.PrefetchStale,
-		// A standalone server has no placement: epoch 0, every shard owned.
-		Epoch: 0, FirstShard: 0, OwnedShards: uint32(a.st.Shards()),
+		Epoch: epoch, FirstShard: uint32(first), OwnedShards: uint32(len(owned)),
 	}
 }
 

@@ -18,8 +18,11 @@ package palermo
 // (and what the backend additionally learns: the id's residue mod Shards).
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
+	"sort"
+	"sync"
 	"time"
 
 	"palermo/internal/backend"
@@ -271,12 +274,44 @@ func (c *ShardedStoreConfig) serveConfig() serve.Config {
 	}
 }
 
-// ShardedStore is a concurrent oblivious 64-byte-block store.
+// ShardedStore is a concurrent oblivious 64-byte-block store. It is also
+// the serving core of a ClusterNode: a standalone store owns every shard
+// at epoch 0 and never migrates, while a node's store owns the subset its
+// manifest assigns and adds or retires shards as they migrate.
 type ShardedStore struct {
+	cfg    ShardedStoreConfig // validated
 	router shard.Router
-	shards []*shard.Shard
-	svc    *serve.Service
-	bes    []backend.Backend // per-shard storage backends, kept for FsyncLag
+	node   *ClusterNode // the node this store serves for; nil when standalone
+
+	// mu is the geometry lock. Request paths hold it shared across
+	// ownership check + submit + wait, so a call observes one placement:
+	// it is either fully executed under the epoch it was checked against
+	// or fully rejected. Migration takes it exclusively only for the
+	// instants that change placement (marking a shard migrating, flipping
+	// the manifest).
+	mu      sync.RWMutex
+	slots   []*storeSlot // index = shard; nil where the store does not own it
+	traceOn bool
+	closed  bool
+
+	// retired keeps surrendered shards' drained services and final traces:
+	// their service-layer stats and leaf-trace prefixes remain observable
+	// after the shard lives elsewhere.
+	retired       []*serve.Service
+	retiredTraces []LeafTrace
+
+	closeOnce sync.Once
+	closeErr  error // first Close outcome, re-returned on later calls
+}
+
+// storeSlot is one owned shard: its engine, the single-worker service that
+// confines it to one goroutine, and its storage backend (nil for memory).
+type storeSlot struct {
+	i         int
+	sh        *shard.Shard
+	svc       *serve.Service
+	be        backend.Backend
+	migrating bool // cutover in progress: requests are rejected (guarded by mu)
 }
 
 // NewShardedStore builds the shards and starts their workers.
@@ -285,23 +320,84 @@ func NewShardedStore(cfg ShardedStoreConfig) (*ShardedStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &ShardedStore{router: router}
-	backends := make([]serve.Backend, cfg.Shards)
-	for i := range backends {
-		sh, be, err := cfg.openShard(router, i, shard.DeriveSeed(cfg.Seed, i), nil)
+	all := make([]int, cfg.Shards)
+	for i := range all {
+		all[i] = i
+	}
+	return openStore(cfg, router, all)
+}
+
+// openStore builds a store over the validated cfg that owns the given
+// shards. If one fails to open, the shards already open are discarded
+// without a farewell checkpoint: nothing was served, so a durable
+// directory is left as it was found.
+func openStore(cfg ShardedStoreConfig, router shard.Router, owned []int) (*ShardedStore, error) {
+	s := &ShardedStore{cfg: cfg, router: router, slots: make([]*storeSlot, cfg.Shards)}
+	for _, i := range owned {
+		slot, err := s.openSlot(i, nil)
 		if err != nil {
-			for _, open := range st.shards {
-				open.Retire() // nothing served: leave the directory as found
-				open.Close()
-			}
+			s.discard()
 			return nil, fmt.Errorf("palermo: %w", err)
 		}
-		st.shards = append(st.shards, sh)
-		st.bes = append(st.bes, be)
-		backends[i] = stagedShard{sh}
+		s.slots[i] = slot
 	}
-	st.svc = serve.New(backends, cfg.serveConfig())
-	return st, nil
+	return s, nil
+}
+
+// openSlot builds shard i with openShard (restore, when non-nil, is a
+// migration's import) and starts its single-worker service. Every shard
+// is built with its derived seed, so a cluster of nodes is
+// protocol-identical to one standalone store.
+func (s *ShardedStore) openSlot(i int, restore func(*shard.Shard) error) (*storeSlot, error) {
+	sh, be, err := s.cfg.openShard(s.router, i, shard.DeriveSeed(s.cfg.Seed, i), restore)
+	if err != nil {
+		return nil, err
+	}
+	s.mu.RLock()
+	if s.traceOn {
+		sh.EnableTrace()
+	}
+	s.mu.RUnlock()
+	svc := serve.New([]serve.Backend{stagedShard{sh}}, s.cfg.serveConfig())
+	return &storeSlot{i: i, sh: sh, svc: svc, be: be}, nil
+}
+
+// discard retires every open slot: the failed-open cleanup.
+func (s *ShardedStore) discard() {
+	for _, slot := range s.slots {
+		if slot != nil {
+			slot.retire()
+		}
+	}
+}
+
+// do runs fn on the slot's worker, after everything queued ahead of it.
+// Once the service is closed it waits the worker out (Close may be
+// concurrent) and runs fn directly, which is then race-free.
+func (sl *storeSlot) do(fn func()) {
+	if sl.svc.Sync(0, fn) != nil {
+		sl.svc.WaitClosed()
+		fn()
+	}
+}
+
+// retire stops the slot for good: the shard never seals again (Retire
+// suppresses the farewell checkpoint) and its service drains and closes.
+func (sl *storeSlot) retire() {
+	sl.do(sl.sh.Retire)
+	sl.svc.Close()
+}
+
+// leafTrace copies the slot's recorded leaf trace on its worker.
+func (sl *storeSlot) leafTrace() LeafTrace {
+	lt := LeafTrace{Shard: sl.i}
+	sl.do(func() {
+		lt.NumLeaves = sl.sh.DataLeaves()
+		if tr := sl.sh.Trace(); tr != nil {
+			lt.Leaves = append([]uint64(nil), tr.Leaves...)
+		}
+	})
+	return lt
 }
 
 // stagedShard adapts *shard.Shard to serve.StagedBackend: the shard's
@@ -324,28 +420,76 @@ func (s *ShardedStore) Blocks() uint64 { return s.router.Blocks() }
 // Shards returns the shard count.
 func (s *ShardedStore) Shards() int { return s.router.Shards() }
 
+// ownedLocked lists the owned shards' slots in ascending shard order.
+// Callers hold mu.
+func (s *ShardedStore) ownedLocked() []*storeSlot {
+	out := make([]*storeSlot, 0, len(s.slots))
+	for _, slot := range s.slots {
+		if slot != nil {
+			out = append(out, slot)
+		}
+	}
+	return out
+}
+
+// owned is ownedLocked under the read lock.
+func (s *ShardedStore) owned() []*storeSlot {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.ownedLocked()
+}
+
+// routeLocked maps id to its shard and local id, or to the wrong-epoch
+// rejection when the store does not serve that shard — which only a
+// cluster node's store can lack. Callers hold mu shared.
+func (s *ShardedStore) routeLocked(id uint64) (int, uint64, error) {
+	i, local := s.router.Route(id)
+	if slot := s.slots[i]; slot == nil || slot.migrating {
+		return 0, 0, s.node.wrongEpochLocked(i)
+	}
+	return i, local, nil
+}
+
+// checkOp validates one operation's id and, for a write, its block.
+func (s *ShardedStore) checkOp(id uint64, data []byte, write bool) error {
+	if id >= s.Blocks() {
+		return fmt.Errorf("palermo: block %d outside capacity %d", id, s.Blocks())
+	}
+	if write && len(data) != BlockSize {
+		return fmt.Errorf("palermo: block must be %d bytes, got %d", BlockSize, len(data))
+	}
+	return nil
+}
+
 // Write stores a 64-byte block obliviously under the given block id. Safe
 // for concurrent use; writes to the same id from different goroutines are
 // serialized by the id's shard worker in arrival order.
 func (s *ShardedStore) Write(id uint64, data []byte) error {
-	if id >= s.Blocks() {
-		return fmt.Errorf("palermo: block %d outside capacity %d", id, s.Blocks())
+	if err := s.checkOp(id, data, true); err != nil {
+		return err
 	}
-	if len(data) != BlockSize {
-		return fmt.Errorf("palermo: block must be %d bytes, got %d", BlockSize, len(data))
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	i, local, err := s.routeLocked(id)
+	if err != nil {
+		return err
 	}
-	sh, local := s.router.Route(id)
-	return s.svc.Write(sh, local, data)
+	return s.slots[i].svc.Write(0, local, data)
 }
 
 // Read fetches a block obliviously. Reading a never-written block returns a
 // zero block after a full-protocol access, like Store.Read.
 func (s *ShardedStore) Read(id uint64) ([]byte, error) {
-	if id >= s.Blocks() {
-		return nil, fmt.Errorf("palermo: block %d outside capacity %d", id, s.Blocks())
+	if err := s.checkOp(id, nil, false); err != nil {
+		return nil, err
 	}
-	sh, local := s.router.Route(id)
-	return s.svc.Read(sh, local)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	i, local, err := s.routeLocked(id)
+	if err != nil {
+		return nil, err
+	}
+	return s.slots[i].svc.Read(0, local)
 }
 
 // ReadBatch fetches many blocks, submitting each shard's subset as one
@@ -354,20 +498,13 @@ func (s *ShardedStore) Read(id uint64) ([]byte, error) {
 // input order; on error, the first failure is returned after every
 // submitted request has completed.
 func (s *ShardedStore) ReadBatch(ids []uint64) ([][]byte, error) {
-	out := make([][]byte, len(ids))
 	for _, id := range ids {
-		if id >= s.Blocks() {
-			return nil, fmt.Errorf("palermo: block %d outside capacity %d", id, s.Blocks())
+		if err := s.checkOp(id, nil, false); err != nil {
+			return nil, err
 		}
 	}
-	perShard := make([][]serve.Req, s.Shards())
-	perShardPos := make([][]int, s.Shards())
-	for i, id := range ids {
-		sh, local := s.router.Route(id)
-		perShard[sh] = append(perShard[sh], serve.Req{Op: serve.OpRead, ID: local})
-		perShardPos[sh] = append(perShardPos[sh], i)
-	}
-	return out, s.waitBatches(perShard, perShardPos, out)
+	out := make([][]byte, len(ids))
+	return out, s.batch(ids, nil, out)
 }
 
 // WriteBatch stores blocks[i] under ids[i] for every i, submitting each
@@ -378,46 +515,56 @@ func (s *ShardedStore) WriteBatch(ids []uint64, blocks [][]byte) error {
 		return fmt.Errorf("palermo: WriteBatch got %d ids but %d blocks", len(ids), len(blocks))
 	}
 	for i, id := range ids {
-		if id >= s.Blocks() {
-			return fmt.Errorf("palermo: block %d outside capacity %d", id, s.Blocks())
-		}
-		if len(blocks[i]) != BlockSize {
-			return fmt.Errorf("palermo: block must be %d bytes, got %d", BlockSize, len(blocks[i]))
+		if err := s.checkOp(id, blocks[i], true); err != nil {
+			return err
 		}
 	}
-	perShard := make([][]serve.Req, s.Shards())
-	perShardPos := make([][]int, s.Shards())
-	for i, id := range ids {
-		sh, local := s.router.Route(id)
-		perShard[sh] = append(perShard[sh], serve.Req{Op: serve.OpWrite, ID: local, Data: blocks[i]})
-		perShardPos[sh] = append(perShardPos[sh], i)
-	}
-	return s.waitBatches(perShard, perShardPos, nil)
+	return s.batch(ids, blocks, nil)
 }
 
-// waitBatches submits every shard's sub-batch, then waits for all futures,
-// scattering read payloads into out (when non-nil) by original position.
-func (s *ShardedStore) waitBatches(perShard [][]serve.Req, perShardPos [][]int, out [][]byte) error {
+// batch partitions a batch by shard, submits each shard's subset as one
+// atomic batch, and waits for every future, scattering read payloads into
+// out (when non-nil) by input position; blocks is nil for reads. If any id
+// names a shard the store does not serve, the whole batch is rejected
+// before anything is submitted: a rejected call executed nothing, so a
+// client retry cannot duplicate operations.
+func (s *ShardedStore) batch(ids []uint64, blocks [][]byte, out [][]byte) error {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	perShard := make([][]serve.Req, len(s.slots))
+	perShardPos := make([][]int, len(s.slots))
+	for pos, id := range ids {
+		i, local, err := s.routeLocked(id)
+		if err != nil {
+			return err
+		}
+		req := serve.Req{Op: serve.OpRead, ID: local}
+		if blocks != nil {
+			req = serve.Req{Op: serve.OpWrite, ID: local, Data: blocks[pos]}
+		}
+		perShard[i] = append(perShard[i], req)
+		perShardPos[i] = append(perShardPos[i], pos)
+	}
 	futs := make([][]*serve.Future, len(perShard))
 	var firstErr error
-	for sh, reqs := range perShard {
+	for i, reqs := range perShard {
 		if len(reqs) == 0 {
 			continue
 		}
-		fs, err := s.svc.SubmitBatch(sh, reqs)
+		fs, err := s.slots[i].svc.SubmitBatch(0, reqs)
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
-		futs[sh] = fs
+		futs[i] = fs
 	}
-	for sh, fs := range futs {
+	for i, fs := range futs {
 		for j, f := range fs {
 			data, err := f.Wait()
 			if err != nil && firstErr == nil {
 				firstErr = err
 			}
 			if out != nil && err == nil {
-				out[perShardPos[sh][j]] = data
+				out[perShardPos[i][j]] = data
 			}
 		}
 	}
@@ -433,21 +580,38 @@ type ServiceStats = serve.Stats
 type LatencySummary = serve.LatencySummary
 
 // Stats returns the service-layer snapshot: completed operations, dedup
-// fan-out hits, and latency percentiles. Safe to call at any time.
-func (s *ShardedStore) Stats() ServiceStats { return s.svc.Stats() }
+// fan-out hits, and latency percentiles. Safe to call at any time. It
+// merges the live shards' services with those of shards a node
+// surrendered by migration, whose serving history stays counted here.
+func (s *ShardedStore) Stats() ServiceStats {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	svcs := append([]*serve.Service(nil), s.retired...)
+	for _, slot := range s.ownedLocked() {
+		svcs = append(svcs, slot.svc)
+	}
+	return serve.MergeStats(svcs)
+}
 
-// QueueDepths reports each shard's instantaneous request-queue occupancy
-// (in queued submissions, index = shard). It is a point-in-time gauge for
+// QueueDepths reports each owned shard's instantaneous request-queue
+// occupancy (in queued submissions), in ascending shard order — for a
+// standalone store, index = shard. It is a point-in-time gauge for
 // operability surfaces, not a synchronized snapshot.
-func (s *ShardedStore) QueueDepths() []int { return s.svc.QueueDepths() }
+func (s *ShardedStore) QueueDepths() []int {
+	var out []int
+	for _, slot := range s.owned() {
+		out = append(out, slot.svc.QueueDepths()[0])
+	}
+	return out
+}
 
 // FsyncLag aggregates the durable backends' fsync telemetry: how many
 // fsyncs the store has issued and the cumulative time spent waiting on
 // them. Backends without fsync telemetry (the memory engine) contribute
 // zero, so a memory store always reports (0, 0).
 func (s *ShardedStore) FsyncLag() (count uint64, total time.Duration) {
-	for _, be := range s.bes {
-		if fs, ok := be.(interface {
+	for _, slot := range s.owned() {
+		if fs, ok := slot.be.(interface {
 			FsyncStats() (uint64, time.Duration)
 		}); ok {
 			n, d := fs.FsyncStats()
@@ -467,32 +631,33 @@ func (s *ShardedStore) Snapshot() (ServiceStats, TrafficReport, error) {
 	return s.Stats(), s.Traffic(), nil
 }
 
-// Traffic aggregates the per-shard TrafficReports into the Store report
-// shape. Shard counters are snapshotted on each shard's own worker (via a
-// queue barrier), so the report is consistent with every operation that
-// completed before the call; after Close the counters are read directly.
+// Traffic aggregates the owned shards' TrafficReports into the Store
+// report shape. Shard counters are snapshotted on each shard's own worker
+// (via a queue barrier), so the report is consistent with every operation
+// that completed before the call; after Close the counters are read
+// directly. A migrated shard's counters move with it, so summing every
+// node's Traffic counts each access exactly once.
 func (s *ShardedStore) Traffic() TrafficReport {
 	var rep TrafficReport
-	for i, sh := range s.shards {
+	for _, slot := range s.owned() {
 		var c shard.Counters
-		if err := s.svc.Sync(i, func() { c = sh.Snapshot() }); err != nil {
-			// Service closed: wait out any still-draining workers (Close
-			// may be concurrent), then the direct read is race-free.
-			s.svc.WaitClosed()
-			c = sh.Snapshot()
-		}
-		rep.add(c, s.bes[i])
+		slot.do(func() { c = slot.sh.Snapshot() })
+		rep.add(c, slot.be)
 	}
 	return rep.amplified()
 }
 
 // EnableTraces starts recording every shard's operation/leaf trace (the
-// attacker-visible path randomness each access exposes). Call before the
-// store starts serving; the traces grow without bound, so this is a
-// measurement/audit mode, not a production default.
+// attacker-visible path randomness each access exposes), including shards
+// a node acquires by later migrations. Call before the store starts
+// serving; the traces grow without bound, so this is a measurement/audit
+// mode, not a production default.
 func (s *ShardedStore) EnableTraces() {
-	for _, sh := range s.shards {
-		sh.EnableTrace()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.traceOn = true
+	for _, slot := range s.ownedLocked() {
+		slot.sh.EnableTrace()
 	}
 }
 
@@ -505,32 +670,54 @@ type LeafTrace struct {
 	Leaves    []uint64 `json:"leaves"`
 }
 
-// LeafTraces snapshots every shard's recorded leaf trace (nil Leaves for
-// shards without EnableTraces). Traces are copied on each shard's own
-// worker goroutine, so the call is safe while the store is serving.
+// LeafTraces snapshots the leaf trace of every shard the store served, in
+// ascending shard order (nil Leaves for shards without EnableTraces).
+// Live traces are copied on each shard's own worker goroutine, so the call
+// is safe while the store is serving. A node also reports the final traces
+// of shards it surrendered by migration, ahead of any later trace of the
+// same shard: its trace is the prefix of that shard's protocol history,
+// the new owner's the continuation.
 func (s *ShardedStore) LeafTraces() []LeafTrace {
-	out := make([]LeafTrace, len(s.shards))
-	for i, sh := range s.shards {
-		i, sh := i, sh
-		copyTrace := func() {
-			out[i].Shard = i
-			out[i].NumLeaves = sh.DataLeaves()
-			if tr := sh.Trace(); tr != nil {
-				out[i].Leaves = append([]uint64(nil), tr.Leaves...)
-			}
-		}
-		if err := s.svc.Sync(i, copyTrace); err != nil {
-			s.svc.WaitClosed()
-			copyTrace()
-		}
+	s.mu.RLock()
+	out := append([]LeafTrace(nil), s.retiredTraces...)
+	slots := s.ownedLocked()
+	s.mu.RUnlock()
+	for _, slot := range slots {
+		out = append(out, slot.leafTrace())
 	}
+	sort.SliceStable(out, func(a, b int) bool { return out[a].Shard < out[b].Shard })
 	return out
 }
 
 // Close stops accepting requests, drains everything already queued,
-// flushes and checkpoints each shard's backend on its own worker, and
-// waits for the workers to exit. Idempotent; operations submitted after
-// Close return an error satisfying errors.Is(err, ErrClosed). With the
-// WAL backend, a store reopened from the same Dir resumes exactly where
-// Close left it — payloads, protocol state, and traffic counters.
-func (s *ShardedStore) Close() error { return s.svc.Close() }
+// flushes and checkpoints each shard's backend on its own worker (all
+// shards in parallel), and waits for the workers to exit. Idempotent:
+// every call returns the first call's outcome, so a failed checkpoint is
+// never swallowed by a retry. Operations submitted after Close return an
+// error satisfying errors.Is(err, ErrClosed). With a durable engine, a
+// store reopened from the same Dir resumes exactly where Close left it —
+// payloads, protocol state, and traffic counters.
+func (s *ShardedStore) Close() error {
+	s.closeOnce.Do(func() {
+		s.mu.Lock()
+		s.closed = true
+		var svcs []*serve.Service
+		for _, slot := range s.ownedLocked() {
+			svcs = append(svcs, slot.svc)
+		}
+		svcs = append(svcs, s.retired...)
+		s.mu.Unlock()
+		errs := make([]error, len(svcs))
+		var wg sync.WaitGroup
+		for i, svc := range svcs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[i] = svc.Close()
+			}()
+		}
+		wg.Wait()
+		s.closeErr = errors.Join(errs...)
+	})
+	return s.closeErr
+}

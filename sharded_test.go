@@ -11,6 +11,15 @@ import (
 	"palermo/internal/shard"
 )
 
+// engines lists a standalone store's shard engines, index = shard.
+func (s *ShardedStore) engines() []*shard.Shard {
+	out := make([]*shard.Shard, len(s.slots))
+	for i, slot := range s.slots {
+		out[i] = slot.sh
+	}
+	return out
+}
+
 func testShardedStore(t *testing.T, shards int) *ShardedStore {
 	t.Helper()
 	st, err := NewShardedStore(ShardedStoreConfig{Blocks: 1 << 14, Shards: shards})
@@ -281,7 +290,7 @@ func TestShardedStorePathDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sh := range st.shards {
+	for _, sh := range st.engines() {
 		sh.EnableTrace() // before any request: the workers are idle
 	}
 	var wg sync.WaitGroup
@@ -305,7 +314,7 @@ func TestShardedStorePathDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for i, sh := range st.shards {
+	for i, sh := range st.engines() {
 		trace := sh.Trace()
 		if len(trace.Ops) == 0 {
 			t.Fatalf("shard %d served nothing", i)
