@@ -39,14 +39,16 @@ func benchOpts(requests int) Options {
 	return Options{Requests: requests, Workers: workers}
 }
 
-// BenchmarkStoreOps measures the synchronous single-tree Store: the
-// serving-path baseline the sharded service is compared against
-// (ops/s and allocs/op are the tracked metrics).
+// BenchmarkStoreOps measures the single-tree store (a 1-shard
+// ShardedStore) under one synchronous caller: the serving-path baseline
+// the multi-shard service is compared against (ops/s and allocs/op are
+// the tracked metrics).
 func BenchmarkStoreOps(b *testing.B) {
-	st, err := NewStore(StoreConfig{Blocks: 1 << 16})
+	st, err := NewShardedStore(ShardedStoreConfig{Blocks: 1 << 16, Shards: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer st.Close()
 	buf := bytes.Repeat([]byte{0xA5}, BlockSize)
 	populateStore(b, st, buf)
 	r := rng.New(1)
@@ -73,7 +75,7 @@ func BenchmarkStoreOps(b *testing.B) {
 // the backend entirely — which both understates read cost and makes the
 // blockfile slot read cache unmeasurable (an absent slot is not a cache
 // event).
-func populateStore(b *testing.B, st *Store, buf []byte) {
+func populateStore(b *testing.B, st *ShardedStore, buf []byte) {
 	b.Helper()
 	for id := uint64(0); id < 1<<16; id++ {
 		if err := st.Write(id, buf); err != nil {
@@ -128,8 +130,9 @@ func BenchmarkStoreOpsDurable(b *testing.B) {
 	if benchEngine() != BackendBlockfile {
 		slotCache = 0 // the cache is a blockfile feature
 	}
-	st, err := NewStore(StoreConfig{
+	st, err := NewShardedStore(ShardedStoreConfig{
 		Blocks:         1 << 16,
+		Shards:         1,
 		Engine:         benchEngine(),
 		Dir:            b.TempDir(),
 		PipelineDepth:  benchPipelineDepth(),

@@ -432,8 +432,14 @@ func (cl *Client) Close() error {
 	return nil
 }
 
-// do submits one call and waits for its result or ctx cancellation.
+// do submits one call and waits for its result or ctx cancellation. A
+// call whose ctx is already done is never sent: the send select below
+// picks at random among ready cases, so it could queue the call and still
+// report ctx.Err(), and a write the caller saw fail would execute later.
 func (cl *Client) do(ctx context.Context, ca *call) (callResult, error) {
+	if err := ctx.Err(); err != nil {
+		return callResult{}, err
+	}
 	ca.done = make(chan callResult, 1)
 	cl.mu.RLock()
 	if cl.closed {

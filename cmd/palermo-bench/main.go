@@ -24,7 +24,6 @@ import (
 
 	"palermo"
 	"palermo/internal/loadgen"
-	"palermo/internal/rng"
 )
 
 func main() {
@@ -163,38 +162,13 @@ func writeRecord(f string, o palermo.Options, wall time.Duration, metrics map[st
 	return os.WriteFile(name, append(buf, '\n'), 0o644)
 }
 
-// storeBench measures the serving path: ops/sec through the synchronous
-// Store and through ShardedStore at 1 and 4 shards (GOMAXPROCS closed-loop
-// clients), mirroring BenchmarkStoreOps/BenchmarkShardedStoreOps so the
-// service layer joins the BENCH perf trajectory. -requests sets the op
-// count per configuration.
+// storeBench measures the serving path: ops/sec through ShardedStore at 1
+// and 4 shards (GOMAXPROCS closed-loop clients), mirroring
+// BenchmarkShardedStoreOps so the service layer joins the BENCH perf
+// trajectory. -requests sets the op count per configuration.
 func storeBench(o palermo.Options, metrics map[string]float64) error {
 	const blocks = 1 << 16
 	ops := o.Requests * 4 // store ops are far cheaper than simulated requests
-
-	st, err := palermo.NewStore(palermo.StoreConfig{Blocks: blocks, Seed: o.Seed})
-	if err != nil {
-		return err
-	}
-	buf := make([]byte, palermo.BlockSize)
-	r := rng.New(o.Seed)
-	start := time.Now()
-	for i := 0; i < ops; i++ {
-		id := r.Uint64n(blocks)
-		if id%10 == 0 {
-			err = st.Write(id, buf)
-		} else {
-			_, err = st.Read(id)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	storeOps := float64(ops) / time.Since(start).Seconds()
-	metrics["store_ops_per_sec"] = storeOps
-	fmt.Printf("Store                 %10.0f ops/sec (%d ops, amplification %.1f)\n",
-		storeOps, ops, st.Traffic().AmplificationFactor)
-
 	for _, shards := range []int{1, 4} {
 		if err := shardedBenchOne(o, shards, blocks, ops, metrics); err != nil {
 			return err

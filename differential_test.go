@@ -416,8 +416,8 @@ func TestPipelinedDurableEquivalence(t *testing.T) {
 	run := func(engine string, depth, cryptoWorkers, slotCache int) (dir string) {
 		t.Helper()
 		dir = t.TempDir()
-		st, err := NewStore(StoreConfig{
-			Blocks: blocks, Engine: engine, Dir: dir, Seed: 9,
+		st, err := NewShardedStore(ShardedStoreConfig{
+			Blocks: blocks, Shards: 1, Engine: engine, Dir: dir, Seed: 9,
 			CheckpointEvery: 32, GroupCommit: 4,
 			PipelineDepth: depth, CryptoWorkers: cryptoWorkers,
 			SlotCacheBytes: slotCache,
@@ -444,8 +444,8 @@ func TestPipelinedDurableEquivalence(t *testing.T) {
 
 	reopen := func(dir, engine string, depth, slotCache int) (rep TrafficReport, payloads [][]byte) {
 		t.Helper()
-		st, err := NewStore(StoreConfig{
-			Blocks: blocks, Engine: engine, Dir: dir, Seed: 9, PipelineDepth: depth,
+		st, err := NewShardedStore(ShardedStoreConfig{
+			Blocks: blocks, Shards: 1, Engine: engine, Dir: dir, Seed: 9, PipelineDepth: depth,
 			SlotCacheBytes: slotCache,
 		})
 		if err != nil {

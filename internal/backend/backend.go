@@ -15,8 +15,11 @@
 // blob.
 //
 // Implementations: memory (the process-private map the store always had —
-// the default) and wal (a CRC-framed append-only log with group-committed
-// fsync and compacted snapshots, surviving restarts and crashes).
+// the default), wal (a CRC-framed append-only log with group-committed
+// fsync and compacted snapshots, surviving restarts and crashes, over a
+// RAM mirror of every block), and blockfile (fixed 512-byte slots in a
+// paged data file plus a metadata-only log, whose checkpoints persist only
+// the sealed metadata blob).
 //
 // A Backend is confined to its shard's worker goroutine, exactly like the
 // ORAM engine above it, so implementations need no internal locking.

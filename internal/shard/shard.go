@@ -134,7 +134,8 @@ type Counters struct {
 }
 
 // DefaultCheckpointEvery is how many writes a durable shard absorbs
-// between automatic WAL-compaction checkpoints.
+// between automatic checkpoints (which compact either durable engine's
+// log).
 const DefaultCheckpointEvery = 4096
 
 // Shard is one oblivious store partition: a private Palermo-variant Ring
@@ -216,12 +217,11 @@ type shardState struct {
 }
 
 // New builds shard index of stride total shards with the given local
-// capacity and the exact engine seed to use (callers building a sharded
-// set derive per-shard seeds with DeriveSeed; a 1-shard caller like
-// palermo.Store passes its seed through unchanged). All shards share the
-// AES key; IV uniqueness across shards holds because blocks are sealed
-// under their global id (disjoint across shards), so independent
-// per-shard epoch counters can never collide on an (addr, epoch) pair.
+// capacity and the exact engine seed to use (callers derive per-shard
+// seeds with DeriveSeed). All shards share the AES key; IV uniqueness
+// across shards holds because blocks are sealed under their global id
+// (disjoint across shards), so independent per-shard epoch counters can
+// never collide on an (addr, epoch) pair.
 //
 // be supplies sealed-payload storage; nil selects the default in-memory
 // backend (the pre-backend behavior, byte for byte). A durable backend
@@ -294,8 +294,8 @@ func New(index, stride int, blocks uint64, key []byte, engineSeed uint64, be bac
 }
 
 // SetCheckpointEvery tunes how many writes pass between automatic
-// WAL-compaction checkpoints (0 disables them; Close still checkpoints).
-// Call before the shard starts serving.
+// checkpoints, which compact the durable engine's log (0 disables them;
+// Close still checkpoints). Call before the shard starts serving.
 func (s *Shard) SetCheckpointEvery(n uint64) { s.ckptEvery = n }
 
 // SetTreeTopLevels pins the engine's tree-top cache to exactly k levels per
@@ -393,7 +393,7 @@ func (s *Shard) maybeCheckpoint(global uint64) error {
 }
 
 // Read fetches a block obliviously by shard-local id. Unwritten blocks read
-// as zeros after a full-protocol access, exactly like the single Store.
+// as zeros after a full-protocol access.
 func (s *Shard) Read(local uint64) ([]byte, error) {
 	if s.ioq != nil {
 		a, err := s.BeginRead(local)

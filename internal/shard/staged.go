@@ -410,8 +410,8 @@ func (s *Shard) beLen() int {
 // Access is one staged oblivious operation between its engine stage
 // (done when Begin returns) and its I/O completion. Wait must be called
 // on the shard's owner goroutine, exactly once per access, in Begin order
-// (the FIFO completion discipline both the serve worker and the
-// synchronous Store follow), with at most the pipeline depth of accesses
+// (the FIFO completion discipline the serve worker and the synchronous
+// Read/Write follow), with at most the pipeline depth of accesses
 // outstanding.
 type Access struct {
 	s      *Shard

@@ -33,8 +33,8 @@ type MetricsVars struct {
 	Traffic func() TrafficReport
 	// QueueDepths returns each shard's instantaneous queue occupancy.
 	QueueDepths func() []int
-	// FsyncLag returns the durable backends' commit-path fsync count and
-	// cumulative wait (the WAL fsync lag).
+	// FsyncLag returns the durable engines' (WAL and blockfile)
+	// commit-path fsync count and cumulative wait.
 	FsyncLag func() (uint64, time.Duration)
 }
 
@@ -49,8 +49,8 @@ func NewMetricsHandler(v MetricsVars) http.Handler {
 }
 
 func writeMetrics(b *strings.Builder, v MetricsVars) {
-	counter := func(name string, val uint64) {
-		fmt.Fprintf(b, "# TYPE %s counter\n%s %d\n", name, name, val)
+	counter := func(name string, val any) { // uint64 counts, float64 seconds
+		fmt.Fprintf(b, "# TYPE %s counter\n%s %v\n", name, name, val)
 	}
 	gauge := func(name string, val float64) {
 		fmt.Fprintf(b, "# TYPE %s gauge\n%s %g\n", name, name, val)
@@ -98,7 +98,7 @@ func writeMetrics(b *strings.Builder, v MetricsVars) {
 	if v.FsyncLag != nil {
 		n, d := v.FsyncLag()
 		counter("palermo_fsyncs_total", n)
-		gauge("palermo_fsync_wait_seconds_total", d.Seconds())
+		counter("palermo_fsync_wait_seconds_total", d.Seconds())
 	}
 }
 

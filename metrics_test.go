@@ -2,8 +2,8 @@ package palermo
 
 // Tests for the operability surface: the /metrics exposition must carry
 // the serving path's counters (including shed counts and the queue/exec
-// split), per-shard queue depths, and — on durable stores — the WAL
-// fsync lag; pprof mounts only when asked.
+// split), per-shard queue depths, and — on durable stores — the
+// commit-path fsync lag; pprof mounts only when asked.
 
 import (
 	"io"
@@ -67,9 +67,18 @@ func TestMetricsEndpoint(t *testing.T) {
 		"palermo_dram_reads_total",
 		"palermo_amplification_factor",
 		"palermo_fsyncs_total 0", // in-memory store: no commit-path fsyncs
+		"# TYPE palermo_fsync_wait_seconds_total counter",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("scrape missing %q in:\n%s", want, body)
+		}
+	}
+	// Prometheus reserves the _total suffix for counters (rate() and
+	// promtool both rely on it), so every _total family must be typed so.
+	for _, line := range strings.Split(body, "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" &&
+			strings.HasSuffix(f[2], "_total") && f[3] != "counter" {
+			t.Fatalf("%s ends in _total but is typed %s", f[2], f[3])
 		}
 	}
 	// pprof is opt-in: without the flag the endpoint must not exist.

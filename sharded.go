@@ -1,11 +1,17 @@
 package palermo
 
-// ShardedStore is the concurrent, sharded form of Store: block ids are
+// ShardedStore is the adoption-facing API: an oblivious block store that
+// a downstream user can call like a small key-value device. Reads and
+// writes of 64-byte blocks execute the full Palermo ORAM protocol over the
+// functional engine (real tree, stash, recursive position maps, AES-CTR
+// sealing), so the sequence of tree paths a storage backend would observe
+// is computationally independent of the keys accessed. Block ids are
 // deterministically striped across S independent ORAM shards (each with a
 // private Ring engine, sealer counter-domain, and derived seed), and each
 // shard is served by a dedicated worker goroutine behind a bounded request
-// queue. Unlike Store it is safe for concurrent use from any number of
-// goroutines and its throughput scales with shards × cores.
+// queue. The store is safe for concurrent use from any number of
+// goroutines and its throughput scales with shards × cores; Shards: 1 is
+// the single-tree store.
 //
 //	st, _ := palermo.NewShardedStore(palermo.ShardedStoreConfig{Blocks: 1 << 20, Shards: 4})
 //	defer st.Close()
@@ -13,8 +19,12 @@ package palermo
 //	data, _ := st.Read(42)
 //	blocks, _ := st.ReadBatch([]uint64{1, 2, 3, 1}) // the two id-1 reads share one ORAM access
 //
+// The store tracks the traffic each operation would cost on the modeled
+// hardware (TrafficReport), but does not run the timing simulation; use
+// Run/the experiment harness for performance studies.
+//
 // Routing depends only on the public block id, so per-shard obliviousness
-// is exactly the single-store guarantee; DESIGN.md §6 states the argument
+// is exactly the single-tree guarantee; DESIGN.md §6 states the argument
 // (and what the backend additionally learns: the id's residue mod Shards).
 
 import (
@@ -36,16 +46,17 @@ import (
 // workers the per-shard trees are tiny and goroutine overhead dominates.
 const MaxShards = 1024
 
-// MaxPrefetchDepth caps the deep planner's look-ahead for both sharded
-// flavors: beyond a few dozen predicted batches the announce window — not
-// the horizon — is the binding resource, so larger values are typos.
+// MaxPrefetchDepth caps ShardedStoreConfig.PrefetchDepth, the deep
+// planner's look-ahead: beyond a few dozen predicted batches the announce
+// window — not the horizon — is the binding resource, so larger values
+// are typos.
 const MaxPrefetchDepth = 64
 
-// ShardedStoreConfig configures a sharded oblivious store.
+// ShardedStoreConfig configures an oblivious store.
 type ShardedStoreConfig struct {
-	Blocks uint64 // total capacity in 64-byte blocks (default 2^20)
-	Shards int    // independent ORAM shards (default 4)
-	Key    []byte // AES key, 16/24/32 bytes (default: the Store demo key)
+	Blocks uint64 // total capacity in 64-byte blocks (default 2^20 = 64 MB)
+	Shards int    // independent ORAM shards (default 4; 1 = a single tree)
+	Key    []byte // AES key, 16/24/32 bytes (default: a fixed demo key)
 	Seed   uint64 // base seed; each shard derives its own (default 1)
 
 	// QueueDepth bounds each shard's request queue (in submissions);
@@ -63,32 +74,40 @@ type ShardedStoreConfig struct {
 	AdmissionDeadline time.Duration
 
 	// Engine selects the storage engine: BackendMemory (default),
-	// BackendWAL, or BackendBlockfile (durable engines require Dir; each
-	// shard owns a sub-directory). See StoreConfig for the full semantics.
+	// BackendWAL, or BackendBlockfile. The durable engines require Dir;
+	// each shard owns a sub-directory.
 	Engine string
-	// Dir is the durable store directory (durable engines only). Its
-	// manifest pins Blocks, Shards, and the engine, so reopening with a
-	// different geometry fails instead of silently mis-routing ids.
+	// Dir is the durable store directory (durable engines only). Reopening
+	// a populated Dir recovers the persisted state. Its manifest pins
+	// Blocks, Shards, and the engine, so reopening with a different
+	// geometry fails instead of silently mis-routing ids.
 	Dir string
 	// CheckpointEvery is the minimum per-shard writes between automatic
-	// WAL-compaction checkpoints (default 4096; <0 disables periodic
-	// checkpoints; compaction also waits for the log tail to reach a
-	// quarter of the shard's stored blocks — see StoreConfig).
+	// checkpoints, which compact the durable engine's log (default 4096;
+	// <0 disables periodic checkpoints — Close still writes one). On
+	// populated shards the checkpoint is additionally deferred until the
+	// log tail reaches a quarter of the shard's stored blocks, keeping
+	// checkpoint I/O amortized O(1) per write.
 	CheckpointEvery int
-	// GroupCommit is WAL appends per fsync batch (default 32).
+	// GroupCommit is how many durable-engine log appends share one fsync
+	// (default 32; 1 = synchronous durability per write).
 	GroupCommit int
 	// PipelineDepth is each shard worker's in-flight access window: while
-	// request k's backend block vector (and WAL commit) is in flight,
-	// the worker runs request k+1's engine stage. 1 = strictly serial
-	// workers (the pre-pipeline behavior, bit-identical leaf traces and
-	// counters at every depth). Default 2; max MaxPipelineDepth. See
-	// StoreConfig.PipelineDepth for the durability interaction.
+	// access k's backend block vector (and, on a durable engine, its group
+	// commit's fsync) is in flight, the worker runs access k+1's engine
+	// transition. Depth 1 executes strictly serially; the determinism
+	// contract (leaf traces, counters, recovered state) is identical at
+	// every depth. Default 2; max MaxPipelineDepth. With GroupCommit 1,
+	// fsyncs stay synchronous regardless (the per-write durability
+	// promise).
 	PipelineDepth int
 	// TreeTopLevels pins each shard engine's resident tree-top cache to
-	// exactly this many levels (0 = hardware byte-budget default; max
-	// MaxTreeTopLevels). Access-pattern-neutral: per-shard leaf traces,
-	// payloads, and checkpoints are bit-identical at any setting — only
-	// backend/DRAM traffic shrinks. See StoreConfig.TreeTopLevels.
+	// exactly this many levels (0 keeps the hardware byte-budget default,
+	// ~6 levels; max MaxTreeTopLevels). Every path access touches the top
+	// levels regardless of the key, so residency is access-pattern-neutral:
+	// leaf traces, payloads, and checkpoints are bit-identical at any
+	// setting (DESIGN.md §10) — only the DRAM traffic report shrinks
+	// (TrafficReport.TreeTopHits counts the absorbed lines).
 	TreeTopLevels int
 	// Prefetch turns on the batch-admission prefetch planner: each shard
 	// worker announces an admitted batch's upcoming reads so their sealed-
@@ -105,14 +124,23 @@ type ShardedStoreConfig struct {
 	// otherwise it is ignored. Max MaxPrefetchDepth. Default 1.
 	PrefetchDepth int
 	// CryptoWorkers offloads each shard's seal/unseal AES transforms to a
-	// bounded worker pool hung off its I/O stage (capped at GOMAXPROCS
-	// per shard; 0 = inline; requires PipelineDepth > 1). Determinism is
-	// unchanged at every worker count — see StoreConfig.CryptoWorkers.
+	// bounded worker pool hung off its pipelined executor (capped at
+	// GOMAXPROCS per shard; 0 keeps crypto inline on the shard's owner
+	// goroutine; requires PipelineDepth > 1, otherwise it is ignored).
+	// Workers run only the pure ciphertext↔plaintext transforms with
+	// owner-assigned epochs — every engine transition, RNG draw, and
+	// counter stays on the owner — so leaf traces, counters, and
+	// checkpoint bytes are bit-identical at every worker count
+	// (DESIGN.md §12).
 	CryptoWorkers int
 	// SlotCacheBytes budgets each shard blockfile backend's slot-level
-	// read cache (per shard, not total). Served bytes are identical at
-	// every budget; see StoreConfig.SlotCacheBytes. Requires Engine
-	// BackendBlockfile. Default 0 (off).
+	// read cache (per shard, not total): recently read 512-byte sealed
+	// slots stay resident (CLOCK eviction) so repeated reads of hot slots
+	// skip the pread. Gets are served from the cache only when the whole
+	// vectored run is resident; writes invalidate their slots and
+	// checkpoints clear the cache, so served bytes are identical at every
+	// budget (DESIGN.md §14). 0 (the default) disables the cache.
+	// Requires Engine BackendBlockfile.
 	SlotCacheBytes int
 }
 
@@ -135,7 +163,7 @@ func (c *ShardedStoreConfig) defaults() {
 }
 
 // validate checks c, resolves its engine and applies the defaults: the
-// one configuration path of Store, ShardedStore and ClusterNode. A durable
+// one configuration path of ShardedStore and ClusterNode. A durable
 // engine's directory gains (or must match) the manifest pinning Blocks,
 // Shards and the engine, so a store reopened with a different geometry
 // fails instead of silently mis-routing ids. Returns the id router of the
@@ -211,10 +239,11 @@ func shardDir(dir string, i int) string {
 
 // openShard builds shard i of a validated configuration: it opens the
 // shard's backend (none for the memory engine), builds the engine with the
-// given seed, runs restore when non-nil (a migration's import, which must
-// precede the pipeline), and applies the tuning knobs. Every store flavor
-// builds its shards here, so they are protocol-identical.
-func (c *ShardedStoreConfig) openShard(router shard.Router, i int, seed uint64, restore func(*shard.Shard) error) (*shard.Shard, backend.Backend, error) {
+// shard's seed derived from Seed, runs restore when non-nil (a migration's
+// import, which must precede the pipeline), and applies the tuning knobs.
+// Every shard is built here, so a cluster of nodes is protocol-identical
+// to one standalone store.
+func (c *ShardedStoreConfig) openShard(router shard.Router, i int, restore func(*shard.Shard) error) (*shard.Shard, backend.Backend, error) {
 	var be backend.Backend
 	var err error
 	switch c.Engine {
@@ -226,7 +255,7 @@ func (c *ShardedStoreConfig) openShard(router shard.Router, i int, seed uint64, 
 	if err != nil {
 		return nil, nil, fmt.Errorf("shard %d: %w", i, err)
 	}
-	sh, err := shard.New(i, c.Shards, router.ShardBlocks(i), c.Key, seed, be)
+	sh, err := shard.New(i, c.Shards, router.ShardBlocks(i), c.Key, shard.DeriveSeed(c.Seed, i), be)
 	if err != nil {
 		if be != nil {
 			be.Close()
@@ -345,11 +374,9 @@ func openStore(cfg ShardedStoreConfig, router shard.Router, owned []int) (*Shard
 }
 
 // openSlot builds shard i with openShard (restore, when non-nil, is a
-// migration's import) and starts its single-worker service. Every shard
-// is built with its derived seed, so a cluster of nodes is
-// protocol-identical to one standalone store.
+// migration's import) and starts its single-worker service.
 func (s *ShardedStore) openSlot(i int, restore func(*shard.Shard) error) (*storeSlot, error) {
-	sh, be, err := s.cfg.openShard(s.router, i, shard.DeriveSeed(s.cfg.Seed, i), restore)
+	sh, be, err := s.cfg.openShard(s.router, i, restore)
 	if err != nil {
 		return nil, err
 	}
@@ -478,7 +505,8 @@ func (s *ShardedStore) Write(id uint64, data []byte) error {
 }
 
 // Read fetches a block obliviously. Reading a never-written block returns a
-// zero block after a full-protocol access, like Store.Read.
+// zero block (the protocol performs the same path access either way, so
+// existence is not observable).
 func (s *ShardedStore) Read(id uint64) ([]byte, error) {
 	if err := s.checkOp(id, nil, false); err != nil {
 		return nil, err
@@ -631,11 +659,10 @@ func (s *ShardedStore) Snapshot() (ServiceStats, TrafficReport, error) {
 	return s.Stats(), s.Traffic(), nil
 }
 
-// Traffic aggregates the owned shards' TrafficReports into the Store
-// report shape. Shard counters are snapshotted on each shard's own worker
-// (via a queue barrier), so the report is consistent with every operation
-// that completed before the call; after Close the counters are read
-// directly. A migrated shard's counters move with it, so summing every
+// Traffic aggregates the owned shards' counters into one TrafficReport.
+// Shard counters are snapshotted on each shard's own worker (via a queue
+// barrier), so the report is consistent with every operation that
+// completed before the call; after Close the counters are read directly. A migrated shard's counters move with it, so summing every
 // node's Traffic counts each access exactly once.
 func (s *ShardedStore) Traffic() TrafficReport {
 	var rep TrafficReport

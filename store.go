@@ -1,24 +1,12 @@
 package palermo
 
-// Store is the adoption-facing API: an oblivious block store that a
-// downstream user can call like a small key-value device. Reads and writes
-// of 64-byte blocks execute the full Palermo ORAM protocol over the
-// functional engine — real tree, stash, recursive position maps, AES-CTR
-// sealing — so the sequence of tree paths a storage backend would observe
-// is computationally independent of the keys accessed.
-//
-//	st, _ := palermo.NewStore(palermo.StoreConfig{Blocks: 1 << 20})
-//	st.Write(42, payload)       // payload: 64 bytes
-//	data, _ := st.Read(42)
-//
-// The Store tracks the traffic each operation would cost on the modeled
-// hardware (TrafficReport), but does not run the timing simulation; use
-// Run/the experiment harness for performance studies. For concurrent
-// callers and capacity scaling, see ShardedStore.
+// The store's shared vocabulary: block geometry and capacity limits, the
+// storage-engine selectors, the caps on ShardedStoreConfig's tuning knobs,
+// and the TrafficReport every store returns. The store itself is
+// ShardedStore (sharded.go); a 1-shard ShardedStore is the single-tree
+// store.
 
 import (
-	"fmt"
-
 	"palermo/internal/backend"
 	"palermo/internal/backend/wal"
 	"palermo/internal/shard"
@@ -27,14 +15,15 @@ import (
 // BlockSize is the store's block granularity.
 const BlockSize = shard.BlockBytes
 
-// MaxBlocks is the largest capacity NewStore/NewShardedStore accept
-// (2^40 blocks = 64 TB). Beyond it, tree-depth arithmetic in the engine
-// layer would overflow; the constructors reject it eagerly instead. Each
-// shard also holds at most 2^36 blocks (its engine addresses at most 2^32
-// data leaves), so a store above 2^36 blocks needs enough shards.
+// MaxBlocks is the largest capacity NewShardedStore and NewClusterNode
+// accept (2^40 blocks = 64 TB). Beyond it, tree-depth arithmetic in the
+// engine layer would overflow; the constructors reject it eagerly
+// instead. Each shard also holds at most 2^36 blocks (its engine
+// addresses at most 2^32 data leaves), so a store above 2^36 blocks needs
+// enough shards.
 const MaxBlocks = 1 << 40
 
-// Block-state backend selectors for StoreConfig/ShardedStoreConfig.
+// Block-state backend selectors for ShardedStoreConfig.Engine.
 const (
 	// BackendMemory keeps sealed blocks in process-private maps — the
 	// default, byte-identical to the store's historical behavior. State
@@ -59,71 +48,12 @@ const (
 	BackendBlockfile = "blockfile"
 )
 
-// StoreConfig configures an oblivious store.
-type StoreConfig struct {
-	Blocks uint64 // capacity in 64-byte blocks (default 2^20 = 64 MB)
-	Key    []byte // AES key, 16/24/32 bytes (default: a fixed demo key)
-	Seed   uint64 // leaf-selection seed (default 1)
-
-	// Engine selects the storage engine: BackendMemory (default),
-	// BackendWAL, or BackendBlockfile. The durable engines require Dir.
-	Engine string
-	// Dir is the durable store directory (durable engines only). Reopening a
-	// populated Dir recovers the persisted state; the directory's manifest
-	// pins Blocks (and shard count) so a mismatched reopen fails loudly.
-	Dir string
-	// CheckpointEvery is the minimum writes between automatic
-	// WAL-compaction checkpoints (default 4096; <0 disables periodic
-	// checkpoints — Close still writes one). On populated stores
-	// compaction is additionally deferred until the log tail reaches a
-	// quarter of the stored blocks, keeping snapshot I/O amortized O(1)
-	// per write.
-	CheckpointEvery int
-	// GroupCommit is how many WAL appends share one fsync (default 32;
-	// 1 = synchronous durability per write).
-	GroupCommit int
-	// PipelineDepth is how many accesses the store's executor keeps in
-	// flight: an access's backend block vector (and, with BackendWAL, its
-	// group commit's fsync) is in flight while the next access's engine
-	// transition runs. Depth 1 executes strictly serially — bit-identical
-	// to the pre-pipeline store; the determinism contract (leaf traces,
-	// counters, recovered state) is identical at every depth. Default 2.
-	// With GroupCommit 1, fsyncs stay synchronous regardless (the
-	// per-write durability promise). Max MaxPipelineDepth.
-	PipelineDepth int
-	// TreeTopLevels pins the engine's per-space tree-top cache to exactly
-	// this many resident levels (0 keeps the hardware byte-budget default,
-	// ~6 levels; max MaxTreeTopLevels). Every path access touches the top
-	// levels regardless of the key, so residency is access-pattern-neutral:
-	// leaf traces, payloads, and checkpoints are bit-identical at any
-	// setting (DESIGN.md §10) — only the DRAM traffic report shrinks
-	// (TrafficReport.TreeTopHits counts the absorbed lines).
-	TreeTopLevels int
-	// CryptoWorkers offloads seal/unseal AES transforms to a bounded
-	// worker pool hung off the pipelined executor (capped at GOMAXPROCS;
-	// 0 keeps crypto inline on the shard's owner goroutine; requires
-	// PipelineDepth > 1, otherwise it is ignored). Workers run only the
-	// pure ciphertext↔plaintext transforms with owner-assigned epochs —
-	// every engine transition, RNG draw, and counter stays on the owner —
-	// so leaf traces, counters, and checkpoint bytes are bit-identical at
-	// every worker count (DESIGN.md §12).
-	CryptoWorkers int
-	// SlotCacheBytes budgets the blockfile engine's slot-level read cache:
-	// recently read 512-byte sealed slots stay resident (CLOCK eviction)
-	// so repeated reads of hot slots skip the pread. Gets are
-	// served from the cache only when the whole vectored run is resident;
-	// writes invalidate their slots and checkpoints clear the cache, so
-	// served bytes are identical at every budget (DESIGN.md §14). 0 (the
-	// default) disables the cache. Requires Engine BackendBlockfile.
-	SlotCacheBytes int
-}
-
-// MaxPipelineDepth caps PipelineDepth for both store flavors: beyond a
+// MaxPipelineDepth caps ShardedStoreConfig.PipelineDepth: beyond a
 // few dozen in-flight accesses the overlap is saturated and only the
 // crash-loss window of a durable backend keeps growing.
 const MaxPipelineDepth = 64
 
-// MaxTreeTopLevels caps TreeTopLevels for both store flavors: 2^24 resident
+// MaxTreeTopLevels caps ShardedStoreConfig.TreeTopLevels: 2^24 resident
 // buckets is already far past any engine geometry's depth (the engine
 // clamps to its actual depth), so larger values are configuration typos.
 const MaxTreeTopLevels = 24
@@ -138,86 +68,6 @@ func DetectEngine(dir string) string {
 		return m.Engine
 	}
 	return BackendWAL
-}
-
-// Store is an oblivious 64-byte-block store: the 1-shard special case of
-// the service layer's partition (the shard seals under global ids, which
-// coincide with block ids at stride 1, and uses Seed unchanged).
-type Store struct {
-	sh       *shard.Shard
-	be       backend.Backend // storage backend, kept for cache telemetry (nil = memory)
-	blocks   uint64
-	closed   bool
-	closeErr error // first Close outcome, re-returned on later calls
-}
-
-// NewStore builds a store: the configuration is validated and the shard
-// built exactly as for a 1-shard ShardedStore, except that the shard uses
-// Seed unchanged. Invalid configurations (zero or overflowing capacity
-// after defaulting, bad key lengths, engine/Dir mismatches) are rejected
-// here rather than surfacing as a deep engine failure. With a durable
-// Engine, a populated Dir is recovered: checkpointed state restores
-// exactly and any post-checkpoint log tail is replayed.
-func NewStore(cfg StoreConfig) (*Store, error) {
-	c := ShardedStoreConfig{
-		Blocks: cfg.Blocks, Shards: 1, Key: cfg.Key, Seed: cfg.Seed,
-		Engine: cfg.Engine, Dir: cfg.Dir,
-		CheckpointEvery: cfg.CheckpointEvery, GroupCommit: cfg.GroupCommit,
-		PipelineDepth: cfg.PipelineDepth, TreeTopLevels: cfg.TreeTopLevels,
-		CryptoWorkers: cfg.CryptoWorkers, SlotCacheBytes: cfg.SlotCacheBytes,
-	}
-	router, err := c.validate()
-	if err != nil {
-		return nil, err
-	}
-	sh, be, err := c.openShard(router, 0, c.Seed, nil)
-	if err != nil {
-		return nil, fmt.Errorf("palermo: %w", err)
-	}
-	return &Store{sh: sh, be: be, blocks: c.Blocks}, nil
-}
-
-// Blocks returns the capacity in blocks.
-func (s *Store) Blocks() uint64 { return s.blocks }
-
-// Write stores a 64-byte block obliviously under the given block id.
-func (s *Store) Write(id uint64, data []byte) error {
-	if s.closed {
-		return ErrClosed
-	}
-	if id >= s.blocks {
-		return fmt.Errorf("palermo: block %d outside capacity %d", id, s.blocks)
-	}
-	if len(data) != BlockSize {
-		return fmt.Errorf("palermo: block must be %d bytes, got %d", BlockSize, len(data))
-	}
-	return s.sh.Write(id, data)
-}
-
-// Read fetches a block obliviously. Reading a never-written block returns
-// a zero block (the protocol performs the same path access either way, so
-// existence is not observable).
-func (s *Store) Read(id uint64) ([]byte, error) {
-	if s.closed {
-		return nil, ErrClosed
-	}
-	if id >= s.blocks {
-		return nil, fmt.Errorf("palermo: block %d outside capacity %d", id, s.blocks)
-	}
-	return s.sh.Read(id)
-}
-
-// Close flushes and checkpoints a durable backend and releases it; a
-// memory-backed store just marks itself closed. Operations after Close
-// return ErrClosed. Idempotent: every call reports the first Close's
-// outcome, so a failed checkpoint is never silently swallowed by a retry.
-func (s *Store) Close() error {
-	if s.closed {
-		return s.closeErr
-	}
-	s.closed = true
-	s.closeErr = s.sh.Close()
-	return s.closeErr
 }
 
 // TrafficReport summarizes the DRAM cost the operations so far would incur.
@@ -244,13 +94,6 @@ type TrafficReport struct {
 	// vectored Get served from the resident cache versus slots that paid a
 	// pread. Always zero with the cache off or a non-blockfile engine.
 	SlotCacheHits, SlotCacheMisses uint64
-}
-
-// Traffic returns the accumulated report.
-func (s *Store) Traffic() TrafficReport {
-	var rep TrafficReport
-	rep.add(s.sh.Snapshot(), s.be)
-	return rep.amplified()
 }
 
 // add folds one shard's counters and its backend's slot-cache telemetry

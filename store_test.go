@@ -3,19 +3,15 @@ package palermo
 import (
 	"bytes"
 	"fmt"
-	"strings"
 	"testing"
 
 	"palermo/internal/rng"
 )
 
-func testStore(t *testing.T) *Store {
+// testStore opens the single-tree store: a 1-shard ShardedStore.
+func testStore(t *testing.T) *ShardedStore {
 	t.Helper()
-	st, err := NewStore(StoreConfig{Blocks: 1 << 14})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return st
+	return testShardedStore(t, 1)
 }
 
 func block(fill byte) []byte {
@@ -57,22 +53,6 @@ func TestStoreUnwrittenReadsZero(t *testing.T) {
 	}
 	if !bytes.Equal(got, make([]byte, BlockSize)) {
 		t.Fatal("unwritten block must read as zeros")
-	}
-}
-
-func TestStoreErrors(t *testing.T) {
-	st := testStore(t)
-	if err := st.Write(1<<14, block(0)); err == nil {
-		t.Fatal("out-of-range write must error")
-	}
-	if _, err := st.Read(1 << 14); err == nil {
-		t.Fatal("out-of-range read must error")
-	}
-	if err := st.Write(0, []byte("short")); err == nil {
-		t.Fatal("short block must error")
-	}
-	if _, err := NewStore(StoreConfig{Key: []byte("bad")}); err == nil {
-		t.Fatal("bad key must error")
 	}
 }
 
@@ -124,76 +104,14 @@ func TestStoreTrafficReport(t *testing.T) {
 	}
 }
 
-// TestStoreConfigValidation table-drives every StoreConfig field: bad
-// configurations fail eagerly in NewStore with a palermo:-prefixed error
-// (never as a deep failure inside the engine layer), and each field's
-// legal edge values are accepted.
-func TestStoreConfigValidation(t *testing.T) {
-	rejected := []struct {
-		field string
-		cfg   StoreConfig
-	}{
-		{"Blocks overflow", StoreConfig{Blocks: MaxBlocks * 4}},
-		{"Blocks just past cap", StoreConfig{Blocks: MaxBlocks + 1}},
-		{"Key short", StoreConfig{Blocks: 1 << 10, Key: []byte("bad")}},
-		{"Key off-size", StoreConfig{Blocks: 1 << 10, Key: make([]byte, 17)}},
-		{"Key oversize", StoreConfig{Blocks: 1 << 10, Key: make([]byte, 64)}},
-		{"Backend unknown", StoreConfig{Blocks: 1 << 10, Engine: "etcd"}},
-		{"Backend memory with Dir", StoreConfig{Blocks: 1 << 10, Engine: BackendMemory, Dir: t.TempDir()}},
-		{"Backend wal without Dir", StoreConfig{Blocks: 1 << 10, Engine: BackendWAL}},
-		{"PipelineDepth negative", StoreConfig{Blocks: 1 << 10, PipelineDepth: -1}},
-		{"PipelineDepth beyond cap", StoreConfig{Blocks: 1 << 10, PipelineDepth: MaxPipelineDepth + 1}},
-	}
-	for _, tc := range rejected {
-		_, err := NewStore(tc.cfg)
-		if err == nil {
-			t.Fatalf("%s: config %+v must be rejected", tc.field, tc.cfg)
-		}
-		if !strings.HasPrefix(err.Error(), "palermo:") {
-			t.Fatalf("%s: error %q lacks palermo: prefix", tc.field, err)
-		}
-	}
-	accepted := []struct {
-		field string
-		cfg   StoreConfig
-	}{
-		{"Key AES-128", StoreConfig{Blocks: 1 << 10, Key: make([]byte, 16)}},
-		{"Key AES-192", StoreConfig{Blocks: 1 << 10, Key: make([]byte, 24)}},
-		{"Key AES-256", StoreConfig{Blocks: 1 << 10, Key: make([]byte, 32)}},
-		{"Blocks zero defaults", StoreConfig{}},
-		{"Seed zero defaults", StoreConfig{Blocks: 1 << 10, Seed: 0}},
-		{"CheckpointEvery negative disables", StoreConfig{Blocks: 1 << 10, Engine: BackendWAL, Dir: t.TempDir(), CheckpointEvery: -1}},
-		{"GroupCommit negative defaults", StoreConfig{Blocks: 1 << 10, Engine: BackendWAL, Dir: t.TempDir(), GroupCommit: -1}},
-		{"GroupCommit synchronous", StoreConfig{Blocks: 1 << 10, Engine: BackendWAL, Dir: t.TempDir(), GroupCommit: 1}},
-		{"PipelineDepth serial", StoreConfig{Blocks: 1 << 10, PipelineDepth: 1}},
-		{"PipelineDepth max", StoreConfig{Blocks: 1 << 10, PipelineDepth: MaxPipelineDepth}},
-		{"PipelineDepth durable serial", StoreConfig{Blocks: 1 << 10, Engine: BackendWAL, Dir: t.TempDir(), PipelineDepth: 1}},
-	}
-	for _, tc := range accepted {
-		st, err := NewStore(tc.cfg)
-		if err != nil {
-			t.Fatalf("%s: config %+v rejected: %v", tc.field, tc.cfg, err)
-		}
-		st.Close()
-	}
-}
-
-func TestStoreDefaults(t *testing.T) {
-	st, err := NewStore(StoreConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Blocks() != 1<<20 {
-		t.Fatalf("default capacity = %d", st.Blocks())
-	}
-}
-
-// ExampleStore demonstrates the adoption-facing oblivious store API.
-func ExampleStore() {
-	st, err := NewStore(StoreConfig{Blocks: 1 << 12})
+// ExampleNewShardedStore demonstrates the single-tree store: one shard,
+// one ORAM tree behind one worker.
+func ExampleNewShardedStore() {
+	st, err := NewShardedStore(ShardedStoreConfig{Blocks: 1 << 12, Shards: 1})
 	if err != nil {
 		panic(err)
 	}
+	defer st.Close()
 	secret := make([]byte, BlockSize)
 	copy(secret, "attack at dawn")
 	if err := st.Write(7, secret); err != nil {
@@ -215,32 +133,4 @@ func ExampleRun() {
 	}
 	fmt.Println(res.Protocol, res.Workload, res.Requests)
 	// Output: Palermo rand 100
-}
-
-// TestStoreShardSizeLimit: a shard's engine addresses at most 2^32 data
-// leaves of 16 blocks, so validation accepts a 1-shard store of exactly
-// 2^36 blocks and refuses 2^36+1, which a second shard makes legal again.
-func TestStoreShardSizeLimit(t *testing.T) {
-	st, err := NewStore(StoreConfig{Blocks: 1 << 36})
-	if err != nil {
-		t.Fatalf("2^36 blocks rejected: %v", err)
-	}
-	want := bytes.Repeat([]byte{7}, BlockSize)
-	if err := st.Write(1<<36-1, want); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := st.Read(1<<36 - 1); err != nil || !bytes.Equal(got, want) {
-		t.Fatalf("read back at the top id: %v", err)
-	}
-	st.Close()
-
-	_, err = NewStore(StoreConfig{Blocks: 1<<36 + 1})
-	if err == nil || !strings.Contains(err.Error(), "per-shard maximum") {
-		t.Fatalf("2^36+1 blocks in one shard: err = %v, want the per-shard refusal", err)
-	}
-	sst, err := NewShardedStore(ShardedStoreConfig{Blocks: 1<<36 + 1, Shards: 2})
-	if err != nil {
-		t.Fatalf("2^36+1 blocks over 2 shards rejected: %v", err)
-	}
-	sst.Close()
 }
