@@ -52,69 +52,44 @@ func TestShardedStoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestShardedStoreErrors: bad ids, short blocks and mismatched batches
-// fail at the call, on the single-tree store as on a sharded one.
 func TestShardedStoreErrors(t *testing.T) {
-	for _, shards := range []int{2, 1} {
-		st := testShardedStore(t, shards)
-		if err := st.Write(1<<14, block(0)); err == nil {
-			t.Fatalf("shards=%d: out-of-range write must error", shards)
-		}
-		if _, err := st.Read(1 << 14); err == nil {
-			t.Fatalf("shards=%d: out-of-range read must error", shards)
-		}
-		if err := st.Write(0, []byte("short")); err == nil {
-			t.Fatalf("shards=%d: short block must error", shards)
-		}
-		if _, err := st.ReadBatch([]uint64{0, 1 << 14}); err == nil {
-			t.Fatalf("shards=%d: out-of-range batch read must error", shards)
-		}
-		if err := st.WriteBatch([]uint64{0, 1}, [][]byte{block(0)}); err == nil {
-			t.Fatalf("shards=%d: mismatched batch lengths must error", shards)
-		}
+	st := testShardedStore(t, 2)
+	if err := st.Write(1<<14, block(0)); err == nil {
+		t.Fatal("out-of-range write must error")
+	}
+	if _, err := st.Read(1 << 14); err == nil {
+		t.Fatal("out-of-range read must error")
+	}
+	if err := st.Write(0, []byte("short")); err == nil {
+		t.Fatal("short block must error")
+	}
+	if _, err := st.ReadBatch([]uint64{0, 1 << 14}); err == nil {
+		t.Fatal("out-of-range batch read must error")
+	}
+	if err := st.WriteBatch([]uint64{0, 1}, [][]byte{block(0)}); err == nil {
+		t.Fatal("mismatched batch lengths must error")
 	}
 }
 
-// TestShardedStoreConfigValidation table-drives every ShardedStoreConfig
-// field, on sharded and single-tree (Shards: 1) geometries: bad
-// configurations fail eagerly in NewShardedStore with a palermo:-prefixed
+// rejectedConfig is a configuration NewShardedStore must refuse with a
+// palermo:-prefixed error containing want.
+type rejectedConfig struct {
+	field string
+	cfg   ShardedStoreConfig
+	want  string
+}
+
+// acceptedConfig is a configuration NewShardedStore must open.
+type acceptedConfig struct {
+	field string
+	cfg   ShardedStoreConfig
+}
+
+// checkConfigs opens every case: rejected ones must fail eagerly with an
 // error naming the cause (never as a deep failure inside the engine
-// layer), and each field's legal edge values are accepted and serve
-// their top block. A shard's engine addresses at most 2^32 data leaves of
-// 16 blocks, so one shard holds at most 2^36 blocks and 2^36+1 needs a
-// second shard.
-func TestShardedStoreConfigValidation(t *testing.T) {
-	rejected := []struct {
-		field string
-		cfg   ShardedStoreConfig
-		want  string // substring of the error
-	}{
-		{"Shards negative", ShardedStoreConfig{Blocks: 1 << 10, Shards: -1}, "Shards must be"},
-		{"Shards beyond MaxShards", ShardedStoreConfig{Blocks: 1 << 10, Shards: MaxShards + 1}, "Shards must be"},
-		{"Shards exceed Blocks", ShardedStoreConfig{Blocks: 2, Shards: 4}, "would be empty"},
-		{"Blocks overflow", ShardedStoreConfig{Blocks: MaxBlocks * 2}, "maximum capacity"},
-		{"Blocks just past cap", ShardedStoreConfig{Blocks: MaxBlocks + 1}, "maximum capacity"},
-		{"Key bad length", ShardedStoreConfig{Blocks: 1 << 10, Key: []byte("not-a-valid-aes-key")}, "Key must be"},
-		{"QueueDepth negative", ShardedStoreConfig{Blocks: 1 << 10, QueueDepth: -1}, "QueueDepth must be"},
-		{"MaxBatch negative", ShardedStoreConfig{Blocks: 1 << 10, MaxBatch: -1}, "MaxBatch must be"},
-		{"PipelineDepth negative", ShardedStoreConfig{Blocks: 1 << 10, PipelineDepth: -1}, "PipelineDepth must be"},
-		{"PipelineDepth beyond cap", ShardedStoreConfig{Blocks: 1 << 10, PipelineDepth: MaxPipelineDepth + 1}, "PipelineDepth must be"},
-		{"Backend unknown", ShardedStoreConfig{Blocks: 1 << 10, Engine: "etcd"}, "unknown Engine"},
-		{"Backend memory with Dir", ShardedStoreConfig{Blocks: 1 << 10, Engine: BackendMemory, Dir: t.TempDir()}, "Dir is set"},
-		{"Backend wal without Dir", ShardedStoreConfig{Blocks: 1 << 10, Engine: BackendWAL}, "requires Dir"},
-		{"1 shard: Blocks overflow", ShardedStoreConfig{Blocks: MaxBlocks * 4, Shards: 1}, "maximum capacity"},
-		{"1 shard: Blocks just past cap", ShardedStoreConfig{Blocks: MaxBlocks + 1, Shards: 1}, "maximum capacity"},
-		{"1 shard: Blocks past the per-shard maximum", ShardedStoreConfig{Blocks: 1<<36 + 1, Shards: 1}, "per-shard maximum"},
-		{"1 shard: Key short", ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, Key: []byte("bad")}, "Key must be"},
-		{"1 shard: Key short, default capacity", ShardedStoreConfig{Shards: 1, Key: []byte("bad")}, "Key must be"},
-		{"1 shard: Key off-size", ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, Key: make([]byte, 17)}, "Key must be"},
-		{"1 shard: Key oversize", ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, Key: make([]byte, 64)}, "Key must be"},
-		{"1 shard: Backend unknown", ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, Engine: "etcd"}, "unknown Engine"},
-		{"1 shard: Backend memory with Dir", ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, Engine: BackendMemory, Dir: t.TempDir()}, "Dir is set"},
-		{"1 shard: Backend wal without Dir", ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, Engine: BackendWAL}, "requires Dir"},
-		{"1 shard: PipelineDepth negative", ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, PipelineDepth: -1}, "PipelineDepth must be"},
-		{"1 shard: PipelineDepth beyond cap", ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, PipelineDepth: MaxPipelineDepth + 1}, "PipelineDepth must be"},
-	}
+// layer), accepted ones must open, serve their top block and close.
+func checkConfigs(t *testing.T, rejected []rejectedConfig, accepted []acceptedConfig) {
+	t.Helper()
 	for _, tc := range rejected {
 		_, err := NewShardedStore(tc.cfg)
 		if err == nil {
@@ -126,32 +101,6 @@ func TestShardedStoreConfigValidation(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%s: error %q does not say %q", tc.field, err, tc.want)
 		}
-	}
-	accepted := []struct {
-		field string
-		cfg   ShardedStoreConfig
-	}{
-		{"zero value defaults", ShardedStoreConfig{}},
-		{"Shards equal Blocks", ShardedStoreConfig{Blocks: 8, Shards: 8}},
-		{"QueueDepth explicit", ShardedStoreConfig{Blocks: 1 << 10, QueueDepth: 1}},
-		{"MaxBatch explicit", ShardedStoreConfig{Blocks: 1 << 10, MaxBatch: 1}},
-		{"PipelineDepth serial", ShardedStoreConfig{Blocks: 1 << 10, PipelineDepth: 1}},
-		{"PipelineDepth max", ShardedStoreConfig{Blocks: 1 << 10, PipelineDepth: MaxPipelineDepth}},
-		{"CheckpointEvery negative disables", ShardedStoreConfig{Blocks: 1 << 10, Shards: 2, Engine: BackendWAL, Dir: t.TempDir(), CheckpointEvery: -1}},
-		{"GroupCommit negative defaults", ShardedStoreConfig{Blocks: 1 << 10, Shards: 2, Engine: BackendWAL, Dir: t.TempDir(), GroupCommit: -1}},
-		{"2^36+1 blocks over 2 shards", ShardedStoreConfig{Blocks: 1<<36 + 1, Shards: 2}},
-		{"1 shard: Blocks zero defaults", ShardedStoreConfig{Shards: 1}},
-		{"1 shard: Blocks at the per-shard maximum", ShardedStoreConfig{Blocks: 1 << 36, Shards: 1}},
-		{"1 shard: Key AES-128", ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, Key: make([]byte, 16)}},
-		{"1 shard: Key AES-192", ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, Key: make([]byte, 24)}},
-		{"1 shard: Key AES-256", ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, Key: make([]byte, 32)}},
-		{"1 shard: Seed zero defaults", ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, Seed: 0}},
-		{"1 shard: CheckpointEvery negative disables", ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, Engine: BackendWAL, Dir: t.TempDir(), CheckpointEvery: -1}},
-		{"1 shard: GroupCommit negative defaults", ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, Engine: BackendWAL, Dir: t.TempDir(), GroupCommit: -1}},
-		{"1 shard: GroupCommit synchronous", ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, Engine: BackendWAL, Dir: t.TempDir(), GroupCommit: 1}},
-		{"1 shard: PipelineDepth serial", ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, PipelineDepth: 1}},
-		{"1 shard: PipelineDepth max", ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, PipelineDepth: MaxPipelineDepth}},
-		{"1 shard: PipelineDepth durable serial", ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, Engine: BackendWAL, Dir: t.TempDir(), PipelineDepth: 1}},
 	}
 	for _, tc := range accepted {
 		st, err := NewShardedStore(tc.cfg)
@@ -171,16 +120,44 @@ func TestShardedStoreConfigValidation(t *testing.T) {
 	}
 }
 
+// TestShardedStoreConfigValidation table-drives every ShardedStoreConfig
+// field on sharded geometries; TestStoreConfigValidation covers the
+// single-tree (Shards: 1) store.
+func TestShardedStoreConfigValidation(t *testing.T) {
+	checkConfigs(t, []rejectedConfig{
+		{"Shards negative", ShardedStoreConfig{Blocks: 1 << 10, Shards: -1}, "Shards must be"},
+		{"Shards beyond MaxShards", ShardedStoreConfig{Blocks: 1 << 10, Shards: MaxShards + 1}, "Shards must be"},
+		{"Shards exceed Blocks", ShardedStoreConfig{Blocks: 2, Shards: 4}, "would be empty"},
+		{"Blocks overflow", ShardedStoreConfig{Blocks: MaxBlocks * 2}, "maximum capacity"},
+		{"Blocks just past cap", ShardedStoreConfig{Blocks: MaxBlocks + 1}, "maximum capacity"},
+		{"Key bad length", ShardedStoreConfig{Blocks: 1 << 10, Key: []byte("not-a-valid-aes-key")}, "Key must be"},
+		{"QueueDepth negative", ShardedStoreConfig{Blocks: 1 << 10, QueueDepth: -1}, "QueueDepth must be"},
+		{"MaxBatch negative", ShardedStoreConfig{Blocks: 1 << 10, MaxBatch: -1}, "MaxBatch must be"},
+		{"PipelineDepth negative", ShardedStoreConfig{Blocks: 1 << 10, PipelineDepth: -1}, "PipelineDepth must be"},
+		{"PipelineDepth beyond cap", ShardedStoreConfig{Blocks: 1 << 10, PipelineDepth: MaxPipelineDepth + 1}, "PipelineDepth must be"},
+		{"Backend unknown", ShardedStoreConfig{Blocks: 1 << 10, Engine: "etcd"}, "unknown Engine"},
+		{"Backend memory with Dir", ShardedStoreConfig{Blocks: 1 << 10, Engine: BackendMemory, Dir: t.TempDir()}, "Dir is set"},
+		{"Backend wal without Dir", ShardedStoreConfig{Blocks: 1 << 10, Engine: BackendWAL}, "requires Dir"},
+	}, []acceptedConfig{
+		{"zero value defaults", ShardedStoreConfig{}},
+		{"Shards equal Blocks", ShardedStoreConfig{Blocks: 8, Shards: 8}},
+		{"QueueDepth explicit", ShardedStoreConfig{Blocks: 1 << 10, QueueDepth: 1}},
+		{"MaxBatch explicit", ShardedStoreConfig{Blocks: 1 << 10, MaxBatch: 1}},
+		{"PipelineDepth serial", ShardedStoreConfig{Blocks: 1 << 10, PipelineDepth: 1}},
+		{"PipelineDepth max", ShardedStoreConfig{Blocks: 1 << 10, PipelineDepth: MaxPipelineDepth}},
+		{"CheckpointEvery negative disables", ShardedStoreConfig{Blocks: 1 << 10, Shards: 2, Engine: BackendWAL, Dir: t.TempDir(), CheckpointEvery: -1}},
+		{"GroupCommit negative defaults", ShardedStoreConfig{Blocks: 1 << 10, Shards: 2, Engine: BackendWAL, Dir: t.TempDir(), GroupCommit: -1}},
+	})
+}
+
 func TestShardedStoreDefaults(t *testing.T) {
-	for _, tc := range []struct{ shards, wantShards int }{{0, 4}, {1, 1}} {
-		st, err := NewShardedStore(ShardedStoreConfig{Shards: tc.shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Blocks() != 1<<20 || st.Shards() != tc.wantShards {
-			t.Fatalf("defaults with Shards %d: %d blocks, %d shards", tc.shards, st.Blocks(), st.Shards())
-		}
-		st.Close()
+	st, err := NewShardedStore(ShardedStoreConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if st.Blocks() != 1<<20 || st.Shards() != 4 {
+		t.Fatalf("defaults: %d blocks, %d shards", st.Blocks(), st.Shards())
 	}
 }
 

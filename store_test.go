@@ -56,6 +56,24 @@ func TestStoreUnwrittenReadsZero(t *testing.T) {
 	}
 }
 
+// TestStoreErrors: bad ids and short blocks fail at the call on the
+// single-tree store, and a bad key fails at open.
+func TestStoreErrors(t *testing.T) {
+	st := testStore(t)
+	if err := st.Write(1<<14, block(0)); err == nil {
+		t.Fatal("out-of-range write must error")
+	}
+	if _, err := st.Read(1 << 14); err == nil {
+		t.Fatal("out-of-range read must error")
+	}
+	if err := st.Write(0, []byte("short")); err == nil {
+		t.Fatal("short block must error")
+	}
+	if _, err := NewShardedStore(ShardedStoreConfig{Shards: 1, Key: []byte("bad")}); err == nil {
+		t.Fatal("bad key must error")
+	}
+}
+
 func TestStoreManyBlocks(t *testing.T) {
 	st := testStore(t)
 	r := rng.New(5)
@@ -102,6 +120,60 @@ func TestStoreTrafficReport(t *testing.T) {
 	if rep.StashPeak <= 0 || rep.StashPeak > 256 {
 		t.Fatalf("stash peak %d", rep.StashPeak)
 	}
+}
+
+// TestStoreConfigValidation table-drives the ShardedStoreConfig fields
+// of the single-tree (Shards: 1) store through the same checks as
+// TestShardedStoreConfigValidation.
+func TestStoreConfigValidation(t *testing.T) {
+	checkConfigs(t, []rejectedConfig{
+		{"Blocks overflow", ShardedStoreConfig{Blocks: MaxBlocks * 4, Shards: 1}, "maximum capacity"},
+		{"Blocks just past cap", ShardedStoreConfig{Blocks: MaxBlocks + 1, Shards: 1}, "maximum capacity"},
+		{"Key short", ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, Key: []byte("bad")}, "Key must be"},
+		{"Key short, default capacity", ShardedStoreConfig{Shards: 1, Key: []byte("bad")}, "Key must be"},
+		{"Key off-size", ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, Key: make([]byte, 17)}, "Key must be"},
+		{"Key oversize", ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, Key: make([]byte, 64)}, "Key must be"},
+		{"Backend unknown", ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, Engine: "etcd"}, "unknown Engine"},
+		{"Backend memory with Dir", ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, Engine: BackendMemory, Dir: t.TempDir()}, "Dir is set"},
+		{"Backend wal without Dir", ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, Engine: BackendWAL}, "requires Dir"},
+		{"PipelineDepth negative", ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, PipelineDepth: -1}, "PipelineDepth must be"},
+		{"PipelineDepth beyond cap", ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, PipelineDepth: MaxPipelineDepth + 1}, "PipelineDepth must be"},
+	}, []acceptedConfig{
+		{"Key AES-128", ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, Key: make([]byte, 16)}},
+		{"Key AES-192", ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, Key: make([]byte, 24)}},
+		{"Key AES-256", ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, Key: make([]byte, 32)}},
+		{"Blocks zero defaults", ShardedStoreConfig{Shards: 1}},
+		{"Seed zero defaults", ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, Seed: 0}},
+		{"CheckpointEvery negative disables", ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, Engine: BackendWAL, Dir: t.TempDir(), CheckpointEvery: -1}},
+		{"GroupCommit negative defaults", ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, Engine: BackendWAL, Dir: t.TempDir(), GroupCommit: -1}},
+		{"GroupCommit synchronous", ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, Engine: BackendWAL, Dir: t.TempDir(), GroupCommit: 1}},
+		{"PipelineDepth serial", ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, PipelineDepth: 1}},
+		{"PipelineDepth max", ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, PipelineDepth: MaxPipelineDepth}},
+		{"PipelineDepth durable serial", ShardedStoreConfig{Blocks: 1 << 10, Shards: 1, Engine: BackendWAL, Dir: t.TempDir(), PipelineDepth: 1}},
+	})
+}
+
+func TestStoreDefaults(t *testing.T) {
+	st, err := NewShardedStore(ShardedStoreConfig{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if st.Blocks() != 1<<20 || st.Shards() != 1 {
+		t.Fatalf("single-tree defaults: %d blocks, %d shards", st.Blocks(), st.Shards())
+	}
+}
+
+// TestStoreShardSizeLimit: a shard's engine addresses at most 2^32 data
+// leaves of 16 blocks, so validation accepts a 1-shard store of exactly
+// 2^36 blocks and refuses 2^36+1, which a second shard makes legal again.
+func TestStoreShardSizeLimit(t *testing.T) {
+	checkConfigs(t, []rejectedConfig{
+		{"2^36+1 blocks in one shard", ShardedStoreConfig{Blocks: 1<<36 + 1, Shards: 1}, "per-shard maximum"},
+	}, []acceptedConfig{
+		{"2^36 blocks in one shard", ShardedStoreConfig{Blocks: 1 << 36, Shards: 1}},
+		{"2^36+1 blocks over 2 shards", ShardedStoreConfig{Blocks: 1<<36 + 1, Shards: 2}},
+	})
 }
 
 // ExampleNewShardedStore demonstrates the single-tree store: one shard,
